@@ -31,15 +31,14 @@ in ``BENCH_perf_engine.json`` at the repo root:
 * **Activation-estimation (predict-and-skip) on the upper layers** —
   network1's split upper layer on the fused engine with
   :class:`repro.core.estimate.EstimatorPolicy` enabled in ``exact``
-  mode, natural partition.  Two supported schedules are locked: the
-  deferred-block vote schedule (``chunk_rows >= block rows``) for
-  wall-clock — positions whose §4.3 vote settles early skip the
-  remaining block matmuls entirely — and the float32-head checkpoint
-  schedule for energy — columns proven decided at the head checkpoint
-  let decided positions skip the tail row drive.  Both are asserted
-  bit-identical to estimator-off before timing.  Targets: >= 1.3x
-  upper-layer wall-clock, >= 30% of row slots skipped, and a reduced
-  SEI dynamic-energy estimate on the estimated layer (>= 50% saving).
+  mode, natural partition.  One network is both timed and priced: its
+  deferred-block vote schedule saves wall-clock (positions whose §4.3
+  vote settles early skip the remaining block matmuls entirely), and a
+  traced pass records the modelled early-termination skip counters.
+  Its logits are asserted bit-identical to estimator-off before timing.
+  Targets: >= 1.3x upper-layer wall-clock, >= 30% of row slots skipped,
+  and a reduced SEI dynamic-energy estimate on the estimated layer
+  (>= 50% saving).
 
 The report also embeds the :mod:`repro.obs` run manifest and, from one
 traced inference pass executed *after* the timings, the hardware
@@ -318,11 +317,11 @@ def bench_packed_inference(dataset, quick: bool) -> dict:
 def bench_estimate(dataset, quick: bool) -> dict:
     """Predict-and-skip on network1's split upper layer, fused engine.
 
-    Times the deferred-block vote schedule against estimator-off on the
-    upper layer alone (the lower conv layer is DAC-coded and not
-    estimable, so whole-network wall-clock would only dilute the ratio),
-    then runs traced passes with the checkpoint schedule to lock the
-    skipped row-slot fraction and the SEI dynamic-energy saving.
+    Times the exact-mode network against estimator-off on the upper
+    layer alone (the lower conv layer is DAC-coded and not estimable,
+    so whole-network wall-clock would only dilute the ratio), then runs
+    traced passes of the same two networks to lock the skipped row-slot
+    fraction and the SEI dynamic-energy saving.
     """
     samples = 64 if quick else 256
     repeats = 2 if quick else 6
@@ -344,17 +343,10 @@ def bench_estimate(dataset, quick: bool) -> dict:
         )
 
     off_net = build(EstimatorPolicy(mode="off"))
-    # chunk_rows >= the largest block -> deferred-block vote schedule.
-    skip_net = build(EstimatorPolicy(mode="exact", chunk_rows=128, group_check=1))
-    # head < block rows -> float32 checkpoint inside each block.
-    ckpt_net = build(EstimatorPolicy(mode="exact", chunk_rows=16, group_check=4))
+    skip_net = build(EstimatorPolicy(mode="exact"))
 
-    off_logits = off_net.predict(images)
-    for name, net in (("block-skip", skip_net), ("checkpoint", ckpt_net)):
-        if not np.array_equal(off_logits, net.predict(images)):
-            raise AssertionError(
-                f"estimator ({name}) and estimator-off logits differ"
-            )
+    if not np.array_equal(off_net.predict(images), skip_net.predict(images)):
+        raise AssertionError("estimator and estimator-off logits differ")
 
     bits = off_net.collect_binary_activations(images)[ESTIMATE_LAYER]
     timings = time_interleaved(
@@ -371,10 +363,7 @@ def bench_estimate(dataset, quick: bool) -> dict:
     ratio = speedup(off_timing, skip_timing)
 
     # Traced passes after the timings: estimator-off sets the dynamic
-    # energy baseline, the checkpoint schedule provides the skip
-    # counters (it retires columns mid-block, so decided positions stop
-    # driving the tail rows of every block, not just whole later
-    # blocks).
+    # energy baseline, the timed exact-mode network the skip counters.
     trace_batch = images[: min(64, samples)]
 
     def trace(net):
@@ -384,18 +373,18 @@ def bench_estimate(dataset, quick: bool) -> dict:
         return exported, obs.power.estimate_from_metrics(rec.metrics)
 
     off_metrics, off_power = trace(off_net)
-    ckpt_metrics, ckpt_power = trace(ckpt_net)
+    skip_metrics, skip_power = trace(skip_net)
     layer_key = str(ESTIMATE_LAYER)
     prefix = f"hw/layer{ESTIMATE_LAYER}/"
-    positions = float(ckpt_metrics["counters"][prefix + "positions"])
-    rows = float(ckpt_metrics["gauges"][prefix + "rows"])
-    skipped_slots = float(ckpt_metrics["counters"].get(prefix + "skipped_slots", 0))
+    positions = float(skip_metrics["counters"][prefix + "positions"])
+    rows = float(skip_metrics["gauges"][prefix + "rows"])
+    skipped_slots = float(skip_metrics["counters"].get(prefix + "skipped_slots", 0))
     # "Row work" = row slots the MVM would stream without the estimator:
     # every (position, row) pair of the estimated layer.
     skip_fraction = skipped_slots / (positions * rows)
     off_layer = off_power["layers"][layer_key]
-    ckpt_layer = ckpt_power["layers"][layer_key]
-    energy_savings = 1.0 - ckpt_layer["dynamic_pj"] / off_layer["dynamic_pj"]
+    skip_layer = skip_power["layers"][layer_key]
+    energy_savings = 1.0 - skip_layer["dynamic_pj"] / off_layer["dynamic_pj"]
 
     return {
         "network": ESTIMATE_NETWORK,
@@ -411,29 +400,28 @@ def bench_estimate(dataset, quick: bool) -> dict:
             "speedup": ratio,
             "target": ESTIMATE_SPEEDUP_TARGET,
             "target_met": ratio >= ESTIMATE_SPEEDUP_TARGET,
-            "policy": {"mode": "exact", "chunk_rows": 128, "group_check": 1},
+            "policy": {"mode": "exact"},
         },
         "skip_counters": {
             "trace_samples": int(len(trace_batch)),
-            "policy": {"mode": "exact", "chunk_rows": 16, "group_check": 4},
             "row_slots": int(positions * rows),
             "skipped_slots": int(skipped_slots),
             "skip_fraction": skip_fraction,
             "target": ESTIMATE_SKIP_TARGET,
             "target_met": skip_fraction >= ESTIMATE_SKIP_TARGET,
-            "estimator_hit_rate": ckpt_layer["estimator_hit_rate"],
-            "active_rows": ckpt_layer["active_rows"],
-            "skipped_rows": ckpt_layer["skipped_rows"],
-            "selected_rows": ckpt_layer["selected_rows"],
+            "estimator_hit_rate": skip_layer["estimator_hit_rate"],
+            "active_rows": skip_layer["active_rows"],
+            "skipped_rows": skip_layer["skipped_rows"],
+            "selected_rows": skip_layer["selected_rows"],
         },
         "energy": {
             "off_dynamic_pj": off_layer["dynamic_pj"],
-            "estimate_dynamic_pj": ckpt_layer["dynamic_pj"],
+            "estimate_dynamic_pj": skip_layer["dynamic_pj"],
             "energy_savings": energy_savings,
             "target": ESTIMATE_ENERGY_TARGET,
             "target_met": energy_savings >= ESTIMATE_ENERGY_TARGET,
             "off_total_dynamic_pj": off_power["total"]["dynamic_pj"],
-            "estimate_total_dynamic_pj": ckpt_power["total"]["dynamic_pj"],
+            "estimate_total_dynamic_pj": skip_power["total"]["dynamic_pj"],
         },
     }
 

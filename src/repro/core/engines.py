@@ -82,11 +82,14 @@ class EngineSpec:
     estimator:
         Runtime output-activity estimation policy
         (:class:`repro.core.estimate.EstimatorPolicy`).  ``off`` by
-        default; ``exact`` lets the fused / packed engines skip row work
-        once every output bit is provably decided (bit-identical to
-        ``off``); ``threshold`` trades bounded output disagreement for
-        earlier skipping (CompRRAE-style).  Rejected by the ``adc`` and
-        ``reference`` engines, which stay estimator-free baselines.
+        default.  ``exact`` keeps the fused / packed outputs
+        bit-identical to ``off``: recorded runs add the modelled
+        early-termination skip counters of each static SEI layer, and
+        the fused engine's split layers run the deferred-block vote
+        schedule.  ``threshold`` makes the modelled early decisions the
+        layer outputs (CompRRAE-style; identical on fused and packed).
+        Rejected by the ``adc`` and ``reference`` engines, which stay
+        estimator-free baselines.
     """
 
     name: str = "fused"

@@ -1,4 +1,4 @@
-"""Runtime output-activity estimation: predict-and-skip MVM work.
+"""Runtime output-activity estimation: price early termination of SEI outputs.
 
 The paper's "switched by input" structure already drives only the word
 lines whose input bit is 1; the row-activity histograms (3-10% mean
@@ -6,56 +6,37 @@ activity in the upper layers, BENCH_perf_engine.json) say most of the
 *remaining* work still computes column currents whose sense-amp output
 bit is a foregone conclusion.  CompRRAE (Chen et al., arXiv 1906.03180)
 cuts RRAM CNN computation by estimating output activity at runtime and
-stopping early; this module is that idea adapted to both of our engines:
+stopping early.  There the early termination is a circuit mechanism, so
+software only has to *price* it: :class:`SkipModel` derives the skip
+counters of one layer from its input bits and its fused block matrices,
+whichever engine executed the layer.
 
-* **fused engine** — a two-stage schedule.  The *head* (the
-  ``chunk_rows * group_check`` hottest rows — largest-magnitude first,
-  then re-ordered by measured input activity once calibrated) is
-  accumulated for the whole batch in float32; at the head boundary each
-  column carries a padded interval ``[acc + lo, acc + hi]`` that
-  provably contains the final analog sum under every rounding of the
-  single-precision stage.  ``lo``/``hi`` come from *k-conditioned*
-  suffix tables: the least/greatest possible contribution of the tail
-  rows given how many of them are actually active (known cheaply from
-  the selection bits; a position whose active rows are exhausted gets
-  the degenerate ``[0, 0]`` interval — its accumulator is already
-  final).  Positions whose every column clears its threshold retire
-  there, and their tail rows are never multiplied; only the survivors
-  recompute their full row sum in exact float64, so the emitted bits
-  never depend on the float32 arithmetic.
-* **packed engine** — the same suffix tables in the integer domain of
-  :mod:`repro.core.packed`: min/max partial-sum companion tables per
-  8-row byte group, gathered on the same per-group path as the partial
-  sums themselves, conditioned on the remaining popcount.
+The modelled circuit, per block crossbar of ``r`` rows:
 
-Safety argument for ``mode='exact'`` (the bit-identity guarantee):
+* the *head* — the :data:`HEAD_ROWS` rows that are hottest in the priced
+  batch (``mode='exact'``) or heaviest by weight magnitude
+  (``mode='threshold'``) — is accumulated first;
+* each column then carries the interval ``[acc + lo(k), acc + hi(k)]``
+  around its final current, where ``k`` is the number of still-active
+  tail rows and ``lo``/``hi`` are k-conditioned suffix tables: the sum
+  of the ``k`` most negative / most positive tail weights of the column,
+  or the whole negative / positive tail sum once ``k`` reaches
+  :data:`MAX_K`.  A column whose interval clears its threshold is decided
+  there; a position with every column it still cares about decided
+  skips its tail rows;
+* on split layers a column whose §4.3 vote is settled (``count >= V`` or
+  ``count + remaining < V``) stops caring about later blocks, and a
+  position with every vote settled skips the remaining block crossbars.
 
-* On the packed engine the accumulator, the bounds and the §4.3 firing
-  thresholds are all exact integers, so ``acc + lo >= F`` /
-  ``acc + hi < F`` are theorems about the final accumulator — an early
-  decision *is* the final decision.  (The unsplit packed layer, whose
-  off-mode comparison happens in float64, uses a widened integer band
-  and replays the off-mode float arithmetic for the handful of
-  accumulators that land inside it.)
-* On the fused engine the sums are float64 and chunked accumulation
-  re-associates them, so every comparison carries a rigorous rounding
-  margin: any floating-point evaluation order of an n-term sum is within
-  ``~n * eps * sum|terms|`` of the exact value, and the margin used here
-  is :data:`_MARGIN_SLACK` times that envelope (plus the threshold /
-  bias magnitudes, covering the comparison's own roundings).  A column
-  is decided only when *every* rounding realisation of the off-mode
-  arithmetic would agree; positions still ambiguous after the last chunk
-  (exact-representable near-threshold collisions — measure-zero in
-  practice) are recomputed by the caller through the unmodified off-mode
-  path, so the emitted bits are identical to ``mode='off'`` by
-  construction.
-
+``mode='exact'`` prices that circuit with exact bounds: an early decision
+is the final decision, so the engines execute their unmodified kernels
+and the outputs are bit-identical to ``mode='off'`` by construction.
 ``mode='threshold'`` is the CompRRAE-style probabilistic variant: the
-bounds are scaled by a ``confidence`` knob in ``(0, 1]`` (margins
-dropped), trading bounded, statistically monotone output disagreement
-for earlier retirement.  See ``docs/engines.md`` for the bound
-derivations and `repro.testing.faults.estimator_confidence_sweep` for
-the degradation campaign.
+bounds are scaled by ``confidence`` in ``(0, 1]`` and the early bits
+*are* the output, ``vote(where(decided_early, early_bit, exact_bit))``.
+Its head order is static, so a sample's output never depends on the
+rest of its batch.  See ``docs/engines.md`` and
+`repro.testing.faults.estimator_confidence_sweep`.
 
 This module is deliberately dependency-light (numpy + errors only): the
 engines import it, never the other way around.
@@ -64,7 +45,7 @@ engines import it, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,81 +54,41 @@ from repro.errors import ConfigurationError
 __all__ = [
     "EstimatorPolicy",
     "SkipStats",
-    "ColumnEstimator",
-    "PackedSuffixBounds",
-    "packed_fire_band",
+    "SkipModel",
+    "HEAD_ROWS",
+    "MAX_K",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
+#: Rows per block accumulated before the early-decision check.
+HEAD_ROWS = 64
 
-#: Safety factor on the exact mode's rounding envelope.  The rigorous
-#: bound on |any-order float64 sum - exact sum| is ~n*eps*sum|terms|;
-#: 64x that is still ~1e-10 for the paper's layers — far below the
-#: typical distance of an activation to its threshold — and absorbs the
-#: threshold subtraction, the bias fold and the comparison roundings.
-_MARGIN_SLACK = 64.0
-
-_EPS32 = float(np.finfo(np.float32).eps)
-
-#: Safety factor on the checkpoint's single-precision rounding pad.
-#: The checkpoint comparison chain runs in float32 (half the memory
-#: traffic of the batch-wide interval check); every quantity in it is
-#: bounded by the compiled magnitude bound, so ~6 roundings are
-#: enveloped with a 16x factor.  The pad only makes the early decision
-#: more conservative — anything inside it falls through to the exact
-#: float64 finish.
-_F32_SLACK = 16.0
+#: Depth of the k-conditioned suffix tables; larger remaining-active
+#: counts use the unconditioned (whole-tail) bound.
+MAX_K = 32
 
 _MODES = ("off", "exact", "threshold")
 
 
 @dataclass(frozen=True)
 class EstimatorPolicy:
-    """How aggressively the engines may decide output bits early.
+    """Whether and how the engines model early output decisions.
 
     Parameters
     ----------
     mode:
-        ``'off'`` (default; engines run their unmodified paths),
-        ``'exact'`` (guaranteed-safe interval bounds: emitted bits are
-        bit-identical to ``'off'``) or ``'threshold'`` (CompRRAE-style
-        probabilistic early decision).
+        ``'off'`` (default; no estimator), ``'exact'`` (skip work is
+        priced with exact bounds; outputs bit-identical to ``'off'``) or
+        ``'threshold'`` (CompRRAE-style probabilistic early decision;
+        the early bits become the output).
     confidence:
         Bound scaling for ``'threshold'`` mode, in ``(0, 1]``.  1.0
-        keeps the full interval (no margin, so near-threshold positions
-        may still flip); smaller values shrink the interval and decide
+        keeps the full interval; smaller values shrink it and decide
         earlier at the cost of more output disagreement.  Ignored by
         ``'exact'``.
-    chunk_rows:
-        Fused engine: rows per head chunk.  The head —
-        ``chunk_rows * group_check`` hottest rows — is accumulated
-        before the early-decision checkpoint; everything beyond it is
-        the skippable tail.
-    group_check:
-        Decision-check cadence.  The fused engine places its interval
-        checkpoint after ``group_check`` head chunks; the packed engine
-        checks every ``group_check`` 8-row byte groups.
-    max_k:
-        Depth of the k-conditioned suffix tables; remaining-active
-        counts above it fall back to the unconditioned suffix bound.
-    calibrate_positions:
-        Fused engine, ``'exact'`` mode only: after this many observed
-        positions the estimator re-orders its rows by *measured* input
-        activity (hottest word lines first) and rebuilds its bound
-        tables, so sparse positions exhaust their active rows — and
-        retire — as early as possible.  Sound for any ordering, so the
-        emitted bits stay bit-identical; ``'threshold'`` mode never
-        recalibrates (its output depends on the ordering, and a
-        data-dependent permutation would break batch invariance).
-        0 disables calibration.
     """
 
     mode: str = "off"
     confidence: float = 1.0
-    chunk_rows: int = 32
-    group_check: int = 2
-    max_k: int = 32
-    calibrate_positions: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -159,15 +100,6 @@ class EstimatorPolicy:
             raise ConfigurationError(
                 f"estimator confidence must lie in (0, 1], got "
                 f"{self.confidence}"
-            )
-        if self.chunk_rows < 1 or self.group_check < 1 or self.max_k < 1:
-            raise ConfigurationError(
-                "chunk_rows, group_check and max_k must all be >= 1"
-            )
-        if self.calibrate_positions < 0:
-            raise ConfigurationError(
-                f"calibrate_positions must be >= 0 (0 disables), got "
-                f"{self.calibrate_positions}"
             )
 
     @property
@@ -181,16 +113,16 @@ class EstimatorPolicy:
 
 @dataclass
 class SkipStats:
-    """Work the estimator avoided (or certified) in one crossbar call.
+    """Work the modelled early termination avoids in one crossbar call.
 
     ``skipped_rows`` counts *active* rows (input bit 1) whose word-line
     drive / cell reads were skipped — the energy-relevant quantity the
     power model prices.  ``skipped_slots`` counts raw row positions
     regardless of activity.  ``est_positions`` is the number of
-    (position, column[, block]) decisions the estimator owned and
-    ``est_decided`` how many it closed early (while skippable rows
-    remained) — their ratio is the estimator hit rate surfaced on the
-    dashboard.
+    (position, block, column) sense-amp decisions the estimator owned
+    and ``est_decided`` how many it closed early — their ratio is the
+    estimator hit rate surfaced on the dashboard, their difference the
+    sense-amp events still paid.
     """
 
     skipped_rows: int = 0
@@ -204,17 +136,20 @@ class SkipStats:
         self.est_positions += other.est_positions
         self.est_decided += other.est_decided
 
+    @property
+    def sa_events(self) -> int:
+        return self.est_positions - self.est_decided
+
 
 def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
     """Cumulative extreme-first sums: row ``k`` bounds any k-row subset.
 
     ``parts`` is ``(S, cols)`` of same-sign values (the negative or
-    positive part of the remaining weight rows).  Row ``k`` of the
-    returned ``(cap+1, cols)`` table is the sum of the ``k`` largest-
-    magnitude entries per column — the extreme possible contribution of
-    exactly ``k`` active remaining rows; rows beyond the table depth
-    hold the full column sum, a sound (unconditioned) bound for any
-    larger count.  Dtype follows ``parts`` (float64 fused, int64 packed).
+    positive part of the tail weight rows).  Row ``k`` of the returned
+    ``(cap+1, cols)`` table is the sum of the ``k`` largest-magnitude
+    entries per column — the extreme possible contribution of exactly
+    ``k`` active tail rows; rows beyond the table depth hold the full
+    column sum, a sound (unconditioned) bound for any larger count.
     """
     cols = parts.shape[1]
     table = np.zeros((cap + 1, cols), dtype=parts.dtype)
@@ -233,370 +168,155 @@ def _suffix_bound_table(parts: np.ndarray, cap: int) -> np.ndarray:
     return table
 
 
-class ColumnEstimator:
-    """Two-stage interval-bound early decision for one fused matrix.
+Threshold = Union[float, Callable[[np.ndarray], np.ndarray]]
 
-    Compiled once per (static) crossbar: rows are permuted so the
-    hottest ones accumulate first (largest-magnitude before calibration,
-    measured-activity after), and the head boundary — after
-    ``policy.chunk_rows * policy.group_check`` rows — gets k-conditioned
-    suffix bound tables plus a rigorous per-column rounding margin
-    (exact mode).
 
-    :meth:`decide` accumulates the head for the whole batch, runs one
-    interval checkpoint there (retiring every position whose columns
-    are all certified — their tail rows are never multiplied), then
-    finishes only the survivors through the tail and reports the
-    skipped work.
+class SkipModel:
+    """The early-termination model of one SEI layer.
+
+    Parameters
+    ----------
+    matrices:
+        Per-block fused ``(rows_k, cols)`` crossbar matrices (one for an
+        unsplit layer).
+    blocks:
+        Per-block indices of the block's rows in the layer's input bits.
+    bias:
+        Per-column constant added to every block sum (the block bias of
+        a split layer, the layer bias of an unsplit one).
+    threshold:
+        A block fires a column when its sum exceeds this: a constant, or
+        a function of the per-position active-row counts of the block
+        (the §4.3 dynamic block thresholds).
+    vote:
+        §4.3 vote threshold over the block bits (1 for an unsplit layer).
+    policy:
+        ``'exact'`` or ``'threshold'`` :class:`EstimatorPolicy`.
     """
 
     def __init__(
         self,
-        weights: np.ndarray,
+        matrices: Sequence[np.ndarray],
+        blocks: Sequence[np.ndarray],
+        bias: np.ndarray,
+        threshold: Threshold,
+        vote: int,
         policy: EstimatorPolicy,
-        bias: Optional[np.ndarray] = None,
-        row_index: Optional[np.ndarray] = None,
     ) -> None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2:
+        if not policy.enabled:
+            raise ConfigurationError("a SkipModel needs an enabled policy")
+        self._matrices = [np.asarray(m, dtype=np.float64) for m in matrices]
+        self._blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
+        if len(self._matrices) != len(self._blocks) or any(
+            m.ndim != 2 or m.shape[0] != len(b)
+            for m, b in zip(self._matrices, self._blocks)
+        ):
             raise ConfigurationError(
-                f"estimator weights must be 2D, got {weights.shape}"
+                "SkipModel needs one 2D matrix per block, with one row "
+                "per block row index"
             )
-        self.rows, self.cols = weights.shape
-        self.policy = policy
-        self._weights = weights
-        # Per-column constant folded into the accumulator before every
-        # comparison (the engines' bias): keeping it inside the
-        # estimator lets callers pass cheap low-rank thresholds instead
-        # of materialising a full (n, cols) threshold plane.
-        self._bias = (
-            None if bias is None else np.asarray(bias, dtype=np.float64)
+        self.cols = self._matrices[0].shape[1]
+        self.exact = policy.exact
+        self.vote = int(vote)
+        self._bias = np.asarray(bias, dtype=np.float64)
+        self._threshold = (
+            threshold if callable(threshold) else lambda ones: threshold
         )
-        # Scatter-partitioned split blocks: ``row_index`` maps this
-        # crossbar's local rows to columns of the caller's *full* bit
-        # matrix, so :meth:`decide` gathers straight from it — the
-        # caller never materialises a per-block sub-matrix.
-        if row_index is not None:
-            row_index = np.asarray(row_index, dtype=np.intp)
-            if row_index.shape != (self.rows,):
-                raise ConfigurationError(
-                    f"row_index must have one entry per weight row "
-                    f"({self.rows}), got {row_index.shape}"
+        self._confidence = 1.0 if self.exact else float(policy.confidence)
+        # Threshold mode's head order is static (heaviest rows first),
+        # so its outputs stay batch-invariant; exact mode reorders per
+        # call by the priced batch's own row activity.
+        self._static = None
+        if not self.exact:
+            self._static = [
+                self._tables(
+                    m, np.argsort(-np.abs(m).max(axis=1), kind="stable")
                 )
-        self._row_index = row_index
-        # Until calibration: largest rows first, so the k-conditioned
-        # suffix intervals tighten fast even on dense inputs.
-        self._build(np.argsort(-np.abs(weights).max(axis=1), kind="stable"))
-        # Exact mode self-calibrates: once enough positions have been
-        # observed, re-order so the empirically hottest word lines come
-        # first — sparse positions then run out of active rows (and
-        # retire, bounds [0, 0]) after the first chunks.  Any ordering
-        # is sound, so the emitted bits are unchanged; threshold mode
-        # keeps the static order (its decisions depend on it).
-        calibrating = policy.exact and policy.calibrate_positions > 0
-        self._calibrated = not calibrating
-        self._freq = np.zeros(self.rows) if calibrating else None
-        self._seen = 0
+                for m in self._matrices
+            ]
 
-    def _build(self, order: np.ndarray) -> None:
-        """(Re)compile the head selection and bound tables.
+    def _tables(self, matrix: np.ndarray, order: np.ndarray) -> tuple:
+        """Head rows, tail rows and the scaled ``lo``/``hi`` tables."""
+        head, tail = order[:HEAD_ROWS], order[HEAD_ROWS:]
+        suffix = matrix[tail]
+        lo = _suffix_bound_table(np.minimum(suffix, 0.0), MAX_K)
+        hi = _suffix_bound_table(np.maximum(suffix, 0.0), MAX_K)
+        return head, tail, lo * self._confidence, hi * self._confidence
 
-        The batch bit matrix is never permuted wholesale: the head rows
-        are gathered for the full batch (a thin float32 ``(n, head)``
-        copy) and the full row set only for the surviving positions.
-        """
-        policy = self.policy
-        head = min(self.rows, policy.chunk_rows * policy.group_check)
-        self._head = head
-        head_rows = order[:head]
-        tail_rows = order[head:]
-        # Head weights live in float32: the whole checkpoint stage —
-        # gather, head matmul, interval compare — runs in single
-        # precision, halving its memory traffic.  Its rounding is
-        # enveloped by the pad below, and a surviving position
-        # recomputes its *full* row sum in float64 afterwards, so the
-        # emitted bits never depend on the float32 arithmetic.
-        self._w_head32 = np.ascontiguousarray(
-            self._weights[head_rows], dtype=np.float32
-        )
-        # Gather indices into the caller's bit matrix (global columns
-        # when this estimator covers a scattered split block).
-        if self._row_index is not None:
-            self._ghead = self._row_index[head_rows]
-            self._gall = self._row_index
-        else:
-            self._ghead = head_rows
-            self._gall = np.arange(self.rows)
-        self._cap = policy.max_k
-        conf = policy.confidence if policy.mode == "threshold" else 1.0
-        # Magnitude bound on every checkpoint quantity (accumulator,
-        # bound table entry, bias) — the float32 pad scales with it.
-        mags = np.abs(self._weights).sum(axis=0) + 1.0
-        if self._bias is not None:
-            mags = mags + np.abs(self._bias)
-        self._bound = float(mags.max())
-        bias_row = 0.0 if self._bias is None else self._bias
-        if head < self.rows:
-            suffix = self._weights[tail_rows]
-            lo = _suffix_bound_table(np.minimum(suffix, 0.0), self._cap)
-            hi = _suffix_bound_table(np.maximum(suffix, 0.0), self._cap)
-            # Bias folds into the tables: the checkpoint then compares
-            # gathered values directly, with no per-position bias pass.
-            self._lo32 = (lo * conf + bias_row).astype(np.float32)
-            self._hi32 = (hi * conf + bias_row).astype(np.float32)
-        else:
-            self._lo32 = None
-            self._hi32 = None
-        if policy.exact:
-            unit = _MARGIN_SLACK * _EPS * (self.rows + 8.0)
-            self._margin_unit = unit
-            self._margin_base = unit * mags
-        else:
-            self._margin_unit = 0.0
-            self._margin_base = np.zeros(self.cols)
-        # Checkpoint pad: covers the float32 head accumulation (error
-        # <= ~head * eps32 * bound for 0/1 inputs), the float64->float32
-        # weight/table/threshold conversions and the comparison chain's
-        # own roundings.
-        self._pad_unit = _F32_SLACK * _EPS32
-        self._pad_base = self._pad_unit * ((head + 8.0) * self._bound + 1.0)
+    def price(self, bits: np.ndarray) -> Tuple[np.ndarray, SkipStats]:
+        """Modelled output plane and skip counters for ``(n, rows)`` bits.
 
-    @property
-    def has_checkpoint(self) -> bool:
-        """True when a skippable tail (and its float32 stage) exists.
-
-        A head spanning every row degenerates to plain exact compute —
-        callers can then skip building the shared float32 bit plane.
-        """
-        return self._head < self.rows
-
-    def _observe(self, bits: np.ndarray) -> None:
-        """Accumulate row-activity statistics; recalibrate when due.
-
-        Runs before the batch is processed, so a recalibration applies
-        from the *current* call onward — decisions stay bit-identical
-        either way (exact mode only ever reaches here).
-        """
-        if self._row_index is not None:
-            self._freq += bits[:, self._row_index].sum(axis=0)
-        else:
-            self._freq += bits.sum(axis=0)
-        self._seen += bits.shape[0]
-        if self._seen >= self.policy.calibrate_positions:
-            order = np.argsort(-self._freq, kind="stable")
-            self._build(order)
-            self._calibrated = True
-            self._freq = None
-
-    def decide(
-        self,
-        bits: np.ndarray,
-        thresholds: np.ndarray,
-        care: Optional[np.ndarray] = None,
-        ones: Optional[np.ndarray] = None,
-        bits32: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, SkipStats]:
-        """Columnwise strict comparisons ``row_sum + bias > threshold``.
-
-        ``bits`` is ``(n, rows)`` 0/1 selection signals; ``thresholds``
-        broadcasts to ``(n, cols)`` — scalar, per-column ``(cols,)``,
-        per-position ``(n, 1)`` (the §4.3 dynamic block thresholds) or
-        fully general ``(n, cols)``; ``care`` optionally masks out
-        columns whose outcome no longer matters (their output stays 0
-        and they never hold a position back); ``ones`` optionally passes
-        the per-position active-row counts ``bits.sum(axis=1)`` when the
-        caller already has them; ``bits32`` optionally passes a float32
-        copy of ``bits`` (the checkpoint's working dtype) so a caller
-        sharing one bit matrix across several block estimators converts
-        it once instead of per call.
-
-        Returns ``(out, ambiguous, stats)``: ``out`` is the ``(n, cols)``
-        float64 0/1 decision plane, ``ambiguous`` a ``(n,)`` bool mask of
-        positions the exact mode could not certify (the caller must
-        recompute those through the unmodified engine path; always
-        all-False in threshold mode).
+        The output is the ``(n, cols)`` float64 0/1 vote plane under the
+        modelled early decisions — the layer output in ``'threshold'``
+        mode, the off-mode output in ``'exact'`` mode.
         """
         bits = np.asarray(bits, dtype=np.float64)
         if bits.ndim == 1:
             bits = bits[None, :]
         n = bits.shape[0]
-        cols = self.cols
-        out = np.zeros((n, cols))
-        ambiguous = np.zeros(n, dtype=bool)
+        # Exact mode's head order: the whole batch's row activity.
+        activity = bits.sum(axis=0)
         stats = SkipStats()
-        if n == 0 or self.rows == 0:
-            return out, ambiguous, stats
-        if not self._calibrated:
-            self._observe(bits)
-
-        # Row-constant thresholds stay low-rank and broadcast; the
-        # exact margin stays (1, cols) by bounding a per-position
-        # threshold magnitude with its batch maximum (a larger margin
-        # is always sound — at worst one more replay).
-        thr = np.asarray(thresholds, dtype=np.float64)
-        thr_a = thr if thr.ndim == 2 else np.broadcast_to(thr, (1, cols))
-        thr_max = float(np.abs(thr).max())
-        if self.policy.exact:
-            margin_a = (
-                self._margin_base + self._margin_unit * thr_max
-            )[None, :]
-        else:
-            margin_a = np.zeros((1, cols))
-
-        und = (
-            np.array(care, dtype=bool, copy=True)
-            if care is not None
-            else np.ones((n, cols), dtype=bool)
-        )
-        # Per-position undecided-column count: retirement detection is
-        # an O(n) vector compare instead of an (n, cols) reduction.
-        und_cnt = und.sum(axis=1)
-        stats.est_positions = int(und_cnt.sum())
-
-        head = self._head
-        if head < self.rows:
-            # Head accumulation + checkpoint, entirely in float32: one
-            # k-conditioned interval check over the whole batch, padded
-            # so it is conservative under every single-precision
-            # rounding (the bias rides inside the bound tables).
-            # tail_k is each position's remaining active rows; an
-            # exhausted position (tail_k == 0) gets the degenerate
-            # [bias, bias] interval — a padded margin check on its
-            # already-final accumulator.
-            if bits32 is None:
-                bits32 = bits.astype(np.float32)
-            pb_head = bits32[:, self._ghead]
-            acc32 = pb_head @ self._w_head32
-            if ones is None:
-                local = (
-                    bits
-                    if self._row_index is None
-                    else bits[:, self._row_index]
-                )
-                ones = local.sum(axis=1)
-            # 0/1 sums stay exact in float32 far beyond any layer size,
-            # so tail_k is the exact remaining-active count.
-            tail_k = np.asarray(ones, dtype=np.float64) - np.asarray(
-                pb_head.sum(axis=1), dtype=np.float64
+        counts = np.zeros((n, self.cols), dtype=np.int64)
+        settled = np.zeros((n, self.cols), dtype=bool)
+        alive = np.arange(n)
+        last = len(self._blocks) - 1
+        for k in range(last + 1):
+            if alive.size == 0:
+                break
+            local = bits[np.ix_(alive, self._blocks[k])]
+            block_bits, block_stats = self._price_block(
+                k, local, ~settled[alive], activity[self._blocks[k]]
             )
-            kk = np.minimum(tail_k, self._cap).astype(np.intp)
-            thr32 = thr_a.astype(np.float32)
-            m32 = (
-                margin_a + self._pad_base + self._pad_unit * thr_max
-            ).astype(np.float32)
-            fire = acc32 + self._lo32[kk] - m32 > thr32
-            newly = (fire | (acc32 + self._hi32[kk] + m32 <= thr32)) & und
-            dec = newly.sum(axis=1)
-            if dec.any():
-                out[newly & fire] = 1.0
-                und &= ~newly
-                und_cnt -= dec
-                stats.est_decided += int(dec.sum())
-            done = und_cnt == 0
-            rest = np.flatnonzero(~done)
-            stats.skipped_rows += int(tail_k[done].sum())
-            stats.skipped_slots += int(done.sum()) * (self.rows - head)
-            if rest.size == 0:
-                return out, ambiguous, stats
-            # Survivors recompute their full row sum exactly: a thin
-            # two-axis float64 gather plus one contiguous matmul.  The
-            # float32 stage never feeds the emitted bits.
-            acc = bits[np.ix_(rest, self._gall)] @ self._weights
-            und = und[rest]
-            if thr_a.shape[0] != 1:
-                thr_a = thr_a[rest]
-        else:
-            # Degenerate head (tiny matrix): no checkpoint, plain exact
-            # compute.
-            rest = np.arange(n)
-            local = bits if self._row_index is None else bits[:, self._gall]
-            acc = local @ self._weights
-        if self._bias is not None:
-            acc = acc + self._bias
-
-        # Final margin check on the (now complete) accumulators.
-        fire = acc - margin_a > thr_a
-        newly = (fire | (acc + margin_a <= thr_a)) & und
-        sub = out[rest]
-        sub[newly & fire] = 1.0
-        leftover = und & ~newly
-        if leftover.any():
-            if self.policy.exact:
-                ambiguous[rest[leftover.any(axis=1)]] = True
-            else:
-                sub[leftover & (acc > thr_a)] = 1.0
-        out[rest] = sub
-        return out, ambiguous, stats
-
-
-class PackedSuffixBounds:
-    """Integer min/max remaining-sum tables for one packed block.
-
-    The companion tables to :func:`repro.core.packed.build_group_tables`:
-    at every decision boundary (a multiple of ``policy.group_check`` byte
-    groups into the block) and for every remaining popcount ``k`` (capped
-    at ``policy.max_k``), the least / greatest possible contribution of
-    the not-yet-gathered groups to the integer accumulator.  All values
-    are exact integers, so on the split path an early decision against
-    the §4.3 firing tables is identical to the final one; threshold mode
-    scales the tables by ``confidence`` (rounded toward zero, i.e. toward
-    earlier decisions).
-    """
-
-    def __init__(self, int_rows: np.ndarray, policy: EstimatorPolicy) -> None:
-        rows = np.asarray(int_rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[0] % 8 != 0:
-            raise ConfigurationError(
-                f"packed bounds need (8*groups, cols) integer rows, got "
-                f"{rows.shape}"
+            stats.merge(block_stats)
+            counts[alive] += block_bits
+            remaining = last - k
+            if not remaining:
+                break
+            c = counts[alive]
+            now = (
+                settled[alive] | (c >= self.vote) | (c + remaining < self.vote)
             )
-        self.groups = rows.shape[0] // 8
-        self.cols = rows.shape[1]
-        self.check = policy.group_check
-        self.cap = policy.max_k
-        conf = policy.confidence if policy.mode == "threshold" else 1.0
-        self.boundaries: List[int] = list(
-            range(self.check, self.groups, self.check)
-        )
-        self._lo = {}
-        self._hi = {}
-        for g in self.boundaries:
-            suffix = rows[8 * g :]
-            lo = _suffix_bound_table(np.minimum(suffix, 0), self.cap)
-            hi = _suffix_bound_table(np.maximum(suffix, 0), self.cap)
-            if conf < 1.0:
-                lo = np.ceil(conf * lo.astype(np.float64)).astype(np.int64)
-                hi = np.floor(conf * hi.astype(np.float64)).astype(np.int64)
-            self._lo[g] = lo
-            self._hi[g] = hi
+            settled[alive] = now
+            retire = now.all(axis=1)
+            if retire.any():
+                # Vote-level retirement: the later block crossbars are
+                # never driven for these positions.
+                gone = alive[retire]
+                for rows in self._blocks[k + 1 :]:
+                    stats.skipped_rows += int(bits[np.ix_(gone, rows)].sum())
+                    stats.skipped_slots += gone.size * rows.size
+                alive = alive[~retire]
+        return (counts >= self.vote).astype(np.float64), stats
 
-    def bounds_at(
-        self, boundary: int, remaining_popcount: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` int64 ``(n, cols)`` bounds before group ``boundary``."""
-        kk = np.minimum(remaining_popcount, self.cap).astype(np.intp)
-        return self._lo[boundary][kk], self._hi[boundary][kk]
+    def _price_block(
+        self, k: int, local: np.ndarray, care: np.ndarray,
+        activity: np.ndarray,
+    ) -> Tuple[np.ndarray, SkipStats]:
+        """One block's modelled bits and counters.
 
-
-def packed_fire_band(
-    threshold: float,
-    bias: np.ndarray,
-    unit: float,
-    acc_bound: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Safe integer band for the packed *unsplit* firing comparison.
-
-    The off-mode unsplit layer compares ``unit * acc + bias_c > T`` in
-    float64.  ``acc >= fire_hi`` certainly fires it and
-    ``acc <= kill_lo`` certainly does not, under any float64 rounding of
-    the off-mode expression (the band is 5 integer steps wide, dwarfing
-    the ~eps-scale roundings of ``q`` and of ``unit*acc + bias``);
-    accumulators inside the band must replay the off-mode float
-    arithmetic.  Returns int64 ``(fire_hi, kill_lo)`` per column.
-    """
-    bias_vec = np.asarray(bias, dtype=np.float64)
-    q = np.floor((float(threshold) - bias_vec) / float(unit))
-    lim = float(acc_bound) + 8.0
-    fire_hi = np.clip(q + 3.0, -lim, lim).astype(np.int64)
-    kill_lo = np.clip(q - 2.0, -lim, lim).astype(np.int64)
-    return fire_hi, kill_lo
+        ``care`` masks the columns whose vote is still open: only those
+        are owned by the estimator and can hold a position back.
+        ``activity`` is the batch's active count per block row.
+        """
+        matrix = self._matrices[k]
+        thr = np.reshape(self._threshold(local.sum(axis=1)), (-1, 1))
+        exact_bit = local @ matrix + self._bias > thr
+        stats = SkipStats(est_positions=int(care.sum()))
+        if matrix.shape[0] <= HEAD_ROWS:
+            return exact_bit, stats
+        if self._static is not None:
+            head, tail, lo, hi = self._static[k]
+        else:
+            order = np.argsort(-activity, kind="stable")
+            head, tail, lo, hi = self._tables(matrix, order)
+        acc = local[:, head] @ matrix[head] + self._bias
+        tail_k = local[:, tail].sum(axis=1)
+        kk = np.minimum(tail_k, MAX_K).astype(np.intp)
+        early = acc + lo[kk] > thr
+        decided = (early | (acc + hi[kk] <= thr)) & care
+        stats.est_decided += int(decided.sum())
+        done = ~(care & ~decided).any(axis=1)
+        stats.skipped_rows += int(tail_k[done].sum())
+        stats.skipped_slots += int(done.sum()) * tail.size
+        return np.where(decided, early, exact_bit), stats

@@ -37,7 +37,7 @@ from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D, ReLU
 from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
-from repro.core.estimate import ColumnEstimator, EstimatorPolicy, SkipStats
+from repro.core.estimate import EstimatorPolicy, SkipModel, SkipStats
 from repro.core.homogenize import Partition, homogenize, natural_partition
 from repro.core.matrix_compute import (
     apply_matrix_fn,
@@ -258,9 +258,9 @@ def assemble_sei_network(
             )
         if config.temporal is not None and config.temporal.enabled:
             raise ConfigurationError(
-                "the runtime activation estimator compiles bound tables "
-                "against static cells; temporal aging would make them "
-                "stale — disable one of the two"
+                "the runtime activation estimator prices skips against "
+                "static cells; temporal aging would make them stale — "
+                "disable one of the two"
             )
     decisions = decisions if decisions is not None else {}
     partitions = partitions if partitions is not None else {}
@@ -337,15 +337,17 @@ def assemble_sei_network(
                 rng=rng,
                 temporal=config.temporal,
             )
-            binarized.layer_computes[index] = _unsplit_compute(
-                crossbar,
-                engine,
-                obs_index=index,
-                estimator=estimator,
-                threshold=thresholds.get(index),
-                bias=layer_bias(layer),
+            pricer = _unsplit_pricer(
+                crossbar, thresholds.get(index), layer_bias(layer), estimator
             )
-            hardware_layers[index] = {"kind": "unsplit", "crossbar": crossbar}
+            binarized.layer_computes[index] = _unsplit_compute(
+                crossbar, engine, obs_index=index, pricer=pricer
+            )
+            hardware_layers[index] = {
+                "kind": "unsplit",
+                "crossbar": crossbar,
+                "pricer": pricer,
+            }
             device_arrays[f"layer{index}"] = crossbar.array
             continue
 
@@ -404,10 +406,26 @@ def assemble_sei_network(
             rng=rng,
             engine=engine,
         )
-        binarized.layer_computes[index] = _split_compute(
-            split, obs_index=index, estimator=estimator
+        pricer = (
+            SkipModel(
+                [xbar.fused_matrix for xbar in split._block_crossbars],
+                split.blocks,
+                split.block_bias,
+                split.decision.thresholds_for,
+                split.decision.vote_threshold,
+                estimator,
+            )
+            if estimator.enabled and split._fused_blocks
+            else None
         )
-        hardware_layers[index] = {"kind": "split", "matrix": split}
+        binarized.layer_computes[index] = _split_compute(
+            split, obs_index=index, pricer=pricer
+        )
+        hardware_layers[index] = {
+            "kind": "split",
+            "matrix": split,
+            "pricer": pricer,
+        }
         for k, array in enumerate(split.block_arrays):
             device_arrays[f"layer{index}/block{k}"] = array
 
@@ -425,17 +443,24 @@ def _record_mvms(
     noise_draws: int = 0,
     digital_merge: Optional[bool] = None,
     skip: Optional[SkipStats] = None,
+    pricer: Optional[SkipModel] = None,
 ) -> None:
     """Count one crossbar invocation when a recorder is active.
 
     One ``None`` check when instrumentation is off; the activity
     statistics never touch the RNG, so traced runs consume the exact
-    same noise stream as untraced ones.
+    same noise stream as untraced ones.  A layer's ``pricer`` supplies
+    the modelled skip counters (unless ``skip`` already holds them).
     """
     rec = obs.active()
     if rec is None or obs_index is None:
         return
     from repro.obs.power import record_mvm_batch
+
+    if skip is None and pricer is not None:
+        skip = pricer.price(bits)[1]
+    if skip is not None:
+        sa_events = skip.sa_events
 
     record_mvm_batch(
         rec.metrics,
@@ -469,23 +494,75 @@ def _identity_compute():
     return compute
 
 
+def _unsplit_pricer(
+    crossbar: SEIMatrix,
+    threshold: Optional[float],
+    bias: Optional[np.ndarray],
+    estimator: EstimatorPolicy,
+) -> Optional[SkipModel]:
+    """The skip model of an unsplit layer, where the estimator applies.
+
+    Only on static (noiseless-read) cells — the model prices the
+    collapsed matrix — and only for thresholded hidden layers whose T
+    lies in [0, 1), where the outer binarize maps an emitted 0/1 plane
+    to itself.
+    """
+    if (
+        not estimator.enabled
+        or crossbar.fused_matrix is None
+        or threshold is None
+        or not 0.0 <= threshold < 1.0
+    ):
+        return None
+    return SkipModel(
+        [crossbar.fused_matrix],
+        [np.arange(crossbar.logical_rows)],
+        np.zeros(crossbar.cols) if bias is None else bias,
+        float(threshold),
+        1,
+        estimator,
+    )
+
+
+def _threshold_compute(pricer: SkipModel, arrays, record):
+    """Threshold-mode layer: the modelled early bits are its output."""
+
+    def matrix_fn(bits: np.ndarray) -> np.ndarray:
+        out, stats = pricer.price(bits)
+        for array in arrays:
+            array.note_reads(bits.shape[0])
+        record(bits, skip=stats)
+        return out
+
+    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+        ensure_binary(x, "SEI inputs")
+        return apply_matrix_fn(
+            layer, x, matrix_fn, add_bias=False, contiguous=False
+        )
+
+    return compute
+
+
 def _unsplit_compute(
     crossbar: SEIMatrix, engine: str = "fused",
     obs_index: Optional[int] = None,
-    estimator: Optional[EstimatorPolicy] = None,
-    threshold: Optional[float] = None,
-    bias: Optional[np.ndarray] = None,
+    pricer: Optional[SkipModel] = None,
 ):
     noise_draws = crossbar.num_cells if crossbar.fused_matrix is None else 0
+
+    def record(bits: np.ndarray, skip: Optional[SkipStats] = None) -> None:
+        _record_mvms(
+            obs_index, bits, crossbar.cols,
+            cells_per_weight=crossbar.cells_per_weight,
+            noise_draws=noise_draws,
+            skip=skip,
+            pricer=pricer,
+        )
 
     if engine == "reference":
 
         def reference_fn(bits: np.ndarray) -> np.ndarray:
-            _record_mvms(
-                obs_index, bits, crossbar.cols,
-                cells_per_weight=crossbar.cells_per_weight,
-                noise_draws=noise_draws,
-            )
+            record(bits)
             return crossbar.compute_reference(bits)
 
         def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -493,68 +570,11 @@ def _unsplit_compute(
 
         return compute
 
-    # Estimator hook-in: only on static (noiseless-read) cells — the
-    # bound tables are compiled against the collapsed matrix — and only
-    # for thresholded hidden layers whose T lies in [0, 1), where the
-    # outer binarize maps an emitted 0/1 plane to itself.  The final
-    # (un-thresholded) layer and noisy crossbars silently fall through
-    # to the unmodified path.
-    if (
-        estimator is not None
-        and estimator.enabled
-        and crossbar.fused_matrix is not None
-        and threshold is not None
-        and 0.0 <= threshold < 1.0
-    ):
-        bias_vec = (
-            np.zeros(crossbar.cols)
-            if bias is None
-            else np.asarray(bias, dtype=np.float64)
-        )
-        # Off-mode fires a column when sum + bias_c > T; the bias is
-        # folded into the estimator's accumulator.
-        column_est = ColumnEstimator(
-            crossbar.fused_matrix, estimator, bias=bias_vec
-        )
-        thr_eff = float(threshold)
-
-        def est_fn(bits: np.ndarray) -> np.ndarray:
-            n = bits.shape[0] if bits.ndim > 1 else 1
-            out, ambiguous, stats = column_est.decide(bits, thr_eff)
-            if ambiguous.any():
-                # Exact mode could not certify every position: replay
-                # the unmodified off-mode arithmetic on the whole batch
-                # (same GEMM shape, so bitwise identical values) and
-                # let the outer binarize make the comparisons.  The
-                # crossbar accounts its own reads on this path.
-                _record_mvms(
-                    obs_index, bits, crossbar.cols,
-                    cells_per_weight=crossbar.cells_per_weight,
-                )
-                return crossbar.compute(bits, validate=False) + bias_vec
-            crossbar.array.note_reads(n)
-            _record_mvms(
-                obs_index, bits, crossbar.cols,
-                cells_per_weight=crossbar.cells_per_weight,
-                sa_events=n * crossbar.cols - stats.est_decided,
-                skip=stats,
-            )
-            return out
-
-        def est_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            ensure_binary(x, "SEI inputs")
-            return apply_matrix_fn(
-                layer, x, est_fn, add_bias=False, contiguous=False
-            )
-
-        return est_compute
+    if pricer is not None and not pricer.exact:
+        return _threshold_compute(pricer, [crossbar.array], record)
 
     def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        _record_mvms(
-            obs_index, bits, crossbar.cols,
-            cells_per_weight=crossbar.cells_per_weight,
-            noise_draws=noise_draws,
-        )
+        record(bits)
         return crossbar.compute(bits, validate=False)
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -571,7 +591,7 @@ def _unsplit_compute(
 def _split_compute(
     split: HardwareSplitMatrix,
     obs_index: Optional[int] = None,
-    estimator: Optional[EstimatorPolicy] = None,
+    pricer: Optional[SkipModel] = None,
 ):
     noise_draws = sum(
         xbar.num_cells
@@ -579,14 +599,14 @@ def _split_compute(
         if xbar.fused_matrix is None
     )
 
-    def record(bits, sa_events=None, skip=None):
+    def record(bits: np.ndarray, skip: Optional[SkipStats] = None) -> None:
         _record_mvms(
             obs_index, bits, split.cols,
             blocks=split.num_blocks,
             cells_per_weight=split._block_crossbars[0].cells_per_weight,
             noise_draws=noise_draws,
-            sa_events=sa_events,
             skip=skip,
+            pricer=pricer,
         )
 
     if split._engine == "reference":
@@ -600,51 +620,28 @@ def _split_compute(
 
         return compute
 
-    # Estimator hook-in: per-block interval bounds plus §4.3 vote-level
-    # early termination.  A block's firing bit is decided chunk by chunk
-    # against its dynamic threshold; a column whose *vote* is settled
-    # (counts >= V, or mathematically unreachable) stops caring about
-    # later blocks, and a position with every column settled skips the
-    # remaining block crossbars outright.  Only on static cells — noisy
-    # blocks fall through to the unmodified path.
-    if estimator is not None and estimator.enabled and split._fused_blocks:
-        block_rows = [np.asarray(b, dtype=np.intp) for b in split.blocks]
-        # Each block's estimator indexes the *full* bit matrix through
-        # its row_index — no per-block sub-matrix is ever gathered (the
-        # homogenized partitions scatter rows, so those gathers would
-        # be full fancy-index copies of the batch).
-        estimators = [
-            ColumnEstimator(
-                xbar.fused_matrix,
-                estimator,
-                bias=split.block_bias,
-                row_index=rows_k,
-            )
-            for xbar, rows_k in zip(split._block_crossbars, block_rows)
-        ]
+    if pricer is not None and not pricer.exact:
+        return _threshold_compute(pricer, split.block_arrays, record)
+
+    if pricer is not None:
+        # Exact mode: the deferred-block vote schedule.  Blocks run with
+        # the *same* gathered layout + strided matmuls as the off path
+        # (bit-identical arithmetic by construction), but each block's
+        # GEMM only sees the positions whose §4.3 vote is still live —
+        # once a position's vote is settled (counts >= V, or
+        # mathematically unreachable), its remaining block crossbars are
+        # never driven.  The skip counters come from the pricer.
         vote = split.decision.vote_threshold
         num_blocks = split.num_blocks
         cols = split.cols
-        total_rows = split.weights.shape[0]
-        # 0/1 block-membership matrix: one matmul yields every block's
-        # per-position active-row count.
-        membership32 = np.zeros((total_rows, num_blocks), dtype=np.float32)
-        for k, rows_k in enumerate(block_rows):
-            membership32[rows_k, k] = 1.0
-
-        # Head sizes spanning a whole block have no intra-block
-        # checkpoint: the estimator degenerates to pure vote-level
-        # (whole-block) skipping, and the fast schedule below keeps the
-        # off path's batched layout for the unskippable prefix blocks.
-        needs32 = any(e.has_checkpoint for e in estimators)
-        block_sizes = [len(r) for r in block_rows]
         # Natural (contiguous-range) partitions need no gather at all: a
         # block's column slice of the batch feeds BLAS as-is (bitwise
         # identical to the gathered layout — trailing padded zero rows
         # never change a partial sum, and 0/1 counts are exact in any
         # order).  Scattered partitions keep the off path's flat gather.
         spans = []
-        for rows_k in block_rows:
+        for rows_k in split.blocks:
+            rows_k = np.asarray(rows_k, dtype=np.intp)
             first = int(rows_k[0]) if rows_k.size else 0
             last = first + rows_k.size
             if not np.array_equal(rows_k, np.arange(first, last)):
@@ -652,16 +649,8 @@ def _split_compute(
                 break
             spans.append((first, last))
 
-        def est_fn_blocks(bits: np.ndarray) -> np.ndarray:
-            # Deferred-block schedule: blocks are computed with the
-            # *same* gathered layout + strided matmuls as the off path
-            # (bit-identical arithmetic by construction), but each
-            # block's GEMM only sees the positions whose §4.3 vote is
-            # still live — once a position's vote is settled (counts
-            # >= V, or mathematically unreachable), its remaining block
-            # crossbars are never driven at all.
+        def blocks_fn(bits: np.ndarray) -> np.ndarray:
             n = bits.shape[0]
-            stats = SkipStats()
             matrices = split._block_matrices()
             if spans is None:
                 gathered = split._gathered(bits)
@@ -677,15 +666,10 @@ def _split_compute(
             ones_al = ones_blk
             counts_al = counts
             dec_al = np.zeros((n, cols), dtype=bool)
-            processed = np.zeros(num_blocks, dtype=np.int64)
-            # The estimator owns every (position, block, column)
-            # sense-amp decision; the ones it closes early are exactly
-            # the skipped blocks' comparisons.
-            stats.est_positions = n * cols * num_blocks
             for k in range(num_blocks):
                 if alive.size == 0:
                     break
-                processed[k] = alive.size
+                split._block_crossbars[k].array.note_reads(alive.size)
                 if spans is None:
                     operand = g_al[:, k, :]
                     mat = matrices[k]
@@ -696,144 +680,39 @@ def _split_compute(
                 sums = operand @ mat
                 sums += split.block_bias
                 thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
-                out_k = sums > thr
-                np.add(counts_al, out_k, out=counts_al, casting="unsafe")
+                np.add(counts_al, sums > thr, out=counts_al, casting="unsafe")
                 remaining = num_blocks - 1 - k
                 # A position can only retire once a vote is reachable
                 # (k+1 >= vote) or unreachable (remaining < vote) —
                 # skip the decision planes on blocks where neither holds.
-                if k + 1 < vote and remaining >= vote:
+                if not remaining or (k + 1 < vote and remaining >= vote):
                     continue
                 dec_al = (
                     dec_al
                     | (counts_al >= vote)
                     | (counts_al + remaining < vote)
                 )
-                if remaining:
-                    done = dec_al.all(axis=1)
-                    if done.any():
-                        d = int(done.sum())
-                        stats.skipped_rows += int(
-                            ones_al[done, k + 1 :].sum()
-                        )
-                        stats.skipped_slots += d * sum(block_sizes[k + 1 :])
-                        stats.est_decided += d * cols * remaining
-                        counts[alive[done]] = counts_al[done]
-                        keep = ~done
-                        alive = alive[keep]
-                        g_al = g_al[keep]
-                        ones_al = ones_al[keep]
-                        counts_al = counts_al[keep]
-                        dec_al = dec_al[keep]
+                done = dec_al.all(axis=1)
+                if done.any():
+                    counts[alive[done]] = counts_al[done]
+                    keep = ~done
+                    alive = alive[keep]
+                    g_al = g_al[keep]
+                    ones_al = ones_al[keep]
+                    counts_al = counts_al[keep]
+                    dec_al = dec_al[keep]
             if alive.size:
                 counts[alive] = counts_al
-            for k in range(num_blocks):
-                if processed[k]:
-                    split._block_crossbars[k].array.note_reads(
-                        int(processed[k])
-                    )
-            record(
-                bits,
-                sa_events=stats.est_positions - stats.est_decided,
-                skip=stats,
-            )
+            record(bits)
             return (counts >= vote).astype(np.float64)
 
-        def est_fn(bits: np.ndarray) -> np.ndarray:
-            n = bits.shape[0]
-            stats = SkipStats()
-            # One float32 copy of the batch serves every block's
-            # checkpoint stage (and the membership matmul: 0/1 counts
-            # stay exact in float32).
-            bits32 = bits.astype(np.float32) if needs32 else None
-            lhs = bits if bits32 is None else bits32
-            ones_all = (lhs @ membership32).astype(np.float64)
-            counts = np.zeros((n, cols), dtype=np.uint8)
-            alive = np.arange(n)
-            # Alive-compacted working set: whole-row compaction happens
-            # only when positions actually retire.  Vote bookkeeping
-            # runs in uint8 — an (n, cols) pass then moves 1/8th of the
-            # bytes the float plane would.
-            bits_al = bits
-            bits32_al = bits32
-            ones_al = ones_all
-            counts_al = counts
-            dec_al = np.zeros((n, cols), dtype=bool)
-            processed = np.zeros(num_blocks, dtype=np.int64)
-            fallback = False
-            for k in range(num_blocks):
-                if alive.size == 0:
-                    break
-                # Block k fires a column when its partial sum + bias_c
-                # clears the dynamic threshold t(ones_k) (Equ. 7); the
-                # bias sits inside the estimator, so the threshold
-                # stays the cheap per-position column vector.
-                thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
-                out_k, ambiguous, s = estimators[k].decide(
-                    bits_al, thr, care=~dec_al, ones=ones_al[:, k],
-                    bits32=bits32_al,
-                )
-                if ambiguous.any():
-                    fallback = True
-                    break
-                processed[k] = alive.size
-                stats.merge(s)
-                counts_al = counts_al + out_k.astype(np.uint8)
-                remaining = num_blocks - 1 - k
-                dec_al = (
-                    dec_al
-                    | (counts_al >= vote)
-                    | (counts_al + remaining < vote)
-                )
-                if remaining:
-                    done = dec_al.all(axis=1)
-                    if done.any():
-                        stats.skipped_rows += int(
-                            ones_al[done, k + 1 :].sum()
-                        )
-                        stats.skipped_slots += int(done.sum()) * sum(
-                            len(block_rows[j])
-                            for j in range(k + 1, num_blocks)
-                        )
-                        counts[alive[done]] = counts_al[done]
-                        keep = ~done
-                        alive = alive[keep]
-                        bits_al = bits_al[keep]
-                        if bits32_al is not None:
-                            bits32_al = bits32_al[keep]
-                        ones_al = ones_al[keep]
-                        counts_al = counts_al[keep]
-                        dec_al = dec_al[keep]
-            if alive.size:
-                counts[alive] = counts_al
-            if fallback:
-                # Exact mode hit an uncertifiable position: replay the
-                # unmodified off-mode vote on the whole batch (identical
-                # arithmetic; block_bits accounts its own reads).
-                record(bits)
-                fb = split.block_bits(bits, validate=False).sum(axis=1)
-                return (fb >= vote).astype(np.float64)
-            for k in range(num_blocks):
-                if processed[k]:
-                    split._block_crossbars[k].array.note_reads(
-                        int(processed[k])
-                    )
-            record(
-                bits,
-                sa_events=stats.est_positions - stats.est_decided,
-                skip=stats,
-            )
-            return (counts >= vote).astype(np.float64)
-
-        kernel = est_fn if needs32 else est_fn_blocks
-
-        def est_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+        def blocks_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
             ensure_binary(x, "split-matrix inputs")
             return apply_matrix_fn(
-                layer, x, kernel, add_bias=False, contiguous=False
+                layer, x, blocks_fn, add_bias=False, contiguous=False
             )
 
-        return est_compute
+        return blocks_compute
 
     def matrix_fn(bits: np.ndarray) -> np.ndarray:
         record(bits)

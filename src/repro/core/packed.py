@@ -63,12 +63,7 @@ from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D
 from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
-from repro.core.estimate import (
-    EstimatorPolicy,
-    PackedSuffixBounds,
-    SkipStats,
-    packed_fire_band,
-)
+from repro.core.estimate import SkipModel
 from repro.core.matrix_compute import ensure_binary, layer_bias
 
 __all__ = [
@@ -551,13 +546,22 @@ def _record_packed(
     sa_events: Optional[int] = None,
     digital_merge: Optional[bool] = None,
     popcount_events: int = 0,
-    skip: Optional[SkipStats] = None,
+    pricer: Optional[SkipModel] = None,
+    bits: Optional[np.ndarray] = None,
 ) -> None:
-    """Per-layer activity counters from popcounted active-row totals."""
+    """Per-layer activity counters from popcounted active-row totals.
+
+    A layer's ``pricer`` turns its input ``bits`` into the modelled
+    skip counters — the same ones the fused engine records.
+    """
     rec = obs.active()
     if rec is None or obs_index is None:
         return
     from repro.obs.power import record_mvm_batch
+
+    skip = pricer.price(bits)[1] if pricer is not None else None
+    if skip is not None:
+        sa_events = skip.sa_events
 
     record_mvm_batch(
         rec.metrics,
@@ -583,25 +587,16 @@ def packed_unsplit_compute(
     unit: float,
     obs_index: Optional[int] = None,
     hidden: bool = True,
-    threshold: Optional[float] = None,
-    bias: Optional[np.ndarray] = None,
-    estimator: Optional[EstimatorPolicy] = None,
+    pricer: Optional[SkipModel] = None,
 ):
     """Packed replacement for an unsplit SEI layer.
 
     Hidden-layer outputs feed straight into the enclosing binarization
     (which writes a fresh plane), so the float output lives in scratch
     and is rewritten on the next batch; a final (non-thresholded) layer
-    escapes to the caller and allocates fresh.
-
-    With an enabled ``estimator`` (and a hidden layer whose ``threshold``
-    lies in ``[0, 1)``), the group accumulation carries min/max
-    remaining-sum companion tables (:class:`PackedSuffixBounds`): once a
-    position's integer accumulator is outside the safe comparison band
-    on every column, the remaining byte groups are never gathered and
-    the compute emits the selection bits directly.  Positions that land
-    *inside* the band replay the off-mode float64 arithmetic on their
-    (complete) accumulator, so exact mode stays bit-identical.
+    escapes to the caller and allocates fresh.  An exact-mode ``pricer``
+    (:class:`repro.core.estimate.SkipModel`) adds the modelled skip
+    counters to the recorded activity.
     """
     matrix = PackedMatrix(
         [crossbar.fused_matrix], [unit], [np.arange(crossbar.logical_rows)],
@@ -610,112 +605,13 @@ def packed_unsplit_compute(
     cells = crossbar.cells_per_weight
     scratch = _Scratch()
 
-    if (
-        estimator is not None
-        and estimator.enabled
-        and hidden
-        and threshold is not None
-        and 0.0 <= float(threshold) < 1.0
-    ):
-        cols_n = matrix.cols
-        bias_vec = (
-            np.zeros(cols_n)
-            if bias is None
-            else np.asarray(bias, dtype=np.float64)
-        )
-        int_rows = np.zeros(
-            (matrix.block_height, cols_n), dtype=np.int64
-        )
-        int_rows[: crossbar.logical_rows] = np.rint(
-            crossbar.fused_matrix / unit
-        ).astype(np.int64)
-        bounds = PackedSuffixBounds(int_rows, estimator)
-        boundaries = set(bounds.boundaries)
-        fire_hi, kill_lo = packed_fire_band(
-            float(threshold), bias_vec, unit, matrix.acc_bound
-        )
-        groups = matrix.groups_per_block
-        thr_f = float(threshold)
-
-        def est_fn(bits_u8: np.ndarray) -> np.ndarray:
-            packed = matrix.pack(bits_u8)
-            ones = matrix.ones_per_block(packed)
-            n = bits_u8.shape[0]
-            pc = popcount(packed.codes).astype(np.int64)
-            # rem[:, g] = active rows in groups g.. (suffix popcount).
-            rem = np.cumsum(pc[:, ::-1], axis=1)[:, ::-1]
-            stats = SkipStats(est_positions=n * cols_n)
-            out = np.zeros((n, cols_n), dtype=np.uint8)
-            loc = np.arange(n)
-            acc = np.zeros((n, cols_n), dtype=np.int64)
-            und = np.ones((n, cols_n), dtype=bool)
-            fired = np.zeros((n, cols_n), dtype=bool)
-            codes_l = packed.codes
-            rem_l = rem
-            for g in range(groups):
-                if g in boundaries and loc.size:
-                    lo, hi = bounds.bounds_at(g, rem_l[:, g])
-                    fire = acc + lo >= fire_hi
-                    dead = acc + hi <= kill_lo
-                    newly = (fire | dead) & und
-                    if newly.any():
-                        fired |= newly & fire
-                        und &= ~newly
-                        stats.est_decided += int(newly.sum())
-                        done = ~und.any(axis=1)
-                        if done.any():
-                            stats.skipped_rows += int(rem_l[done, g].sum())
-                            stats.skipped_slots += int(done.sum()) * (
-                                matrix.block_height - GROUP_ROWS * g
-                            )
-                            out[loc[done]] = fired[done]
-                            keep = ~done
-                            loc = loc[keep]
-                            acc = acc[keep]
-                            und = und[keep]
-                            fired = fired[keep]
-                            codes_l = codes_l[keep]
-                            rem_l = rem_l[keep]
-                if loc.size == 0:
-                    break
-                lane = codes_l[:, g]
-                active = np.flatnonzero(lane)
-                if active.size:
-                    acc[active] += matrix.tables[g][lane[active]]
-            if loc.size:
-                # Band survivors and never-retired positions: the
-                # accumulator is complete, so replaying the off-mode
-                # float ops (multiply by unit, add bias, strict compare)
-                # reproduces its bits exactly.
-                v = acc.astype(np.float64) * unit
-                v += bias_vec
-                final = v > thr_f
-                out[loc] = np.where(und, final, fired)
-            crossbar.array.note_reads(n)
-            _record_packed(
-                obs_index, ones.sum(axis=1), matrix.rows, cols_n,
-                cells_per_weight=cells,
-                sa_events=n * cols_n - stats.est_decided,
-                popcount_events=packed.codes.size,
-                skip=stats,
-            )
-            return out
-
-        def est_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            bits = _as_uint8_bits(x, "SEI inputs")
-            return _apply_packed(
-                layer, bits, est_fn, add_bias=False, scratch=scratch
-            )
-
-        est_compute.prebinarized = True
-        return est_compute
-
     def matrix_fn(bits_u8: np.ndarray) -> np.ndarray:
         packed = matrix.pack(bits_u8)
         ones = matrix.ones_per_block(packed)
         _record_packed(
             obs_index, ones.sum(axis=1), matrix.rows, matrix.cols,
             cells_per_weight=cells, popcount_events=packed.codes.size,
+            pricer=pricer, bits=bits_u8,
         )
         acc = matrix.accumulate(packed)
         if hidden:
@@ -736,7 +632,7 @@ def packed_unsplit_compute(
 def packed_split_compute(
     split, units: Sequence[float], obs_index=None,
     threshold: Optional[float] = None,
-    estimator: Optional[EstimatorPolicy] = None,
+    pricer: Optional[SkipModel] = None,
 ):
     """Packed replacement for a hidden split layer (§4.3 digital vote).
 
@@ -750,13 +646,8 @@ def packed_split_compute(
     compute emits uint8 selection bits directly; the enclosing network
     must then skip its binarize pass (see ``compute.prebinarized``).
 
-    With an enabled ``estimator`` the per-block accumulation carries
-    :class:`PackedSuffixBounds` companion tables and decides block
-    firing bits early against the same integer firing tables — an early
-    decision is therefore *identical* to the final one (all quantities
-    are exact integers), and exact mode costs no fallback.  Columns
-    whose §4.3 vote is settled stop caring about later blocks, and
-    positions with every column settled skip remaining blocks outright.
+    An exact-mode ``pricer`` (:class:`repro.core.estimate.SkipModel`)
+    adds the modelled skip counters to the recorded activity.
     """
     matrix = PackedMatrix(
         [xbar.fused_matrix for xbar in split._block_crossbars],
@@ -772,136 +663,6 @@ def packed_split_compute(
     out_dtype = np.uint8 if emit_bits else np.float64
     scratch = _Scratch()
 
-    if estimator is not None and estimator.enabled:
-        gpb = matrix.groups_per_block
-        cols_n = matrix.cols
-        num_blocks = matrix.num_blocks
-        block_bounds = []
-        for k, xbar in enumerate(split._block_crossbars):
-            rows_k = np.zeros((matrix.block_height, cols_n), dtype=np.int64)
-            rows_k[: xbar.logical_rows] = np.rint(
-                xbar.fused_matrix / matrix.units[k]
-            ).astype(np.int64)
-            block_bounds.append(PackedSuffixBounds(rows_k, estimator))
-        boundary_sets = [set(b.boundaries) for b in block_bounds]
-
-        def est_fn(bits_u8: np.ndarray) -> np.ndarray:
-            packed = matrix.pack(bits_u8)
-            ones = matrix.ones_per_block(packed)
-            n = bits_u8.shape[0]
-            pc = popcount(packed.codes).astype(np.int64)
-            stats = SkipStats()
-            counts = np.zeros((n, cols_n), dtype=np.int16)
-            vote_done = np.zeros((n, cols_n), dtype=bool)
-            alive = np.arange(n)
-            processed = np.zeros(num_blocks, dtype=np.int64)
-            for k in range(num_blocks):
-                if alive.size == 0:
-                    break
-                processed[k] = alive.size
-                bnd = block_bounds[k]
-                bset = boundary_sets[k]
-                codes_l = packed.codes[:, k * gpb : (k + 1) * gpb][alive]
-                pc_l = pc[:, k * gpb : (k + 1) * gpb][alive]
-                rem_l = np.cumsum(pc_l[:, ::-1], axis=1)[:, ::-1]
-                fire_l = np.take(
-                    fire_tables[k], ones[alive, k], axis=0
-                ).astype(np.int64)
-                care = ~vote_done[alive]
-                stats.est_positions += int(care.sum())
-                m = alive.size
-                out_fire = np.zeros((m, cols_n), dtype=bool)
-                loc = np.arange(m)
-                acc = np.zeros((m, cols_n), dtype=np.int64)
-                und = care.copy()
-                fired = np.zeros((m, cols_n), dtype=bool)
-                for g in range(gpb):
-                    if g in bset and loc.size:
-                        lo, hi = bnd.bounds_at(g, rem_l[:, g])
-                        fire = acc + lo >= fire_l
-                        dead = acc + hi < fire_l
-                        newly = (fire | dead) & und
-                        if newly.any():
-                            fired |= newly & fire
-                            und &= ~newly
-                            stats.est_decided += int(newly.sum())
-                            done = ~und.any(axis=1)
-                            if done.any():
-                                stats.skipped_rows += int(
-                                    rem_l[done, g].sum()
-                                )
-                                stats.skipped_slots += int(done.sum()) * (
-                                    matrix.block_height - GROUP_ROWS * g
-                                )
-                                out_fire[loc[done]] = fired[done]
-                                keep = ~done
-                                loc = loc[keep]
-                                acc = acc[keep]
-                                und = und[keep]
-                                fired = fired[keep]
-                                codes_l = codes_l[keep]
-                                rem_l = rem_l[keep]
-                                fire_l = fire_l[keep]
-                    if loc.size == 0:
-                        break
-                    lane = codes_l[:, g]
-                    active = np.flatnonzero(lane)
-                    if active.size:
-                        acc[active] += matrix.tables[k * gpb + g][
-                            lane[active]
-                        ]
-                if loc.size:
-                    # Full accumulators: the exact §4.3 comparison.
-                    out_fire[loc] = np.where(und, acc >= fire_l, fired)
-                counts[alive] += out_fire
-                remaining = num_blocks - 1 - k
-                sub_counts = counts[alive]
-                sub_done = (
-                    vote_done[alive]
-                    | (sub_counts >= vote_threshold)
-                    | (sub_counts + remaining < vote_threshold)
-                )
-                vote_done[alive] = sub_done
-                if remaining:
-                    all_done = sub_done.all(axis=1)
-                    if all_done.any():
-                        done_idx = alive[all_done]
-                        stats.skipped_rows += int(
-                            ones[done_idx, k + 1 :].sum()
-                        )
-                        stats.skipped_slots += (
-                            int(all_done.sum())
-                            * remaining
-                            * matrix.block_height
-                        )
-                        alive = alive[~all_done]
-            for k in range(num_blocks):
-                if processed[k]:
-                    split._block_crossbars[k].array.note_reads(
-                        int(processed[k])
-                    )
-            _record_packed(
-                obs_index, ones.sum(axis=1), matrix.rows, cols_n,
-                blocks=num_blocks, cells_per_weight=cells,
-                sa_events=stats.est_positions - stats.est_decided,
-                popcount_events=packed.codes.size,
-                skip=stats,
-            )
-            out = np.zeros((n, cols_n), dtype=out_dtype)
-            np.greater_equal(
-                counts, vote_threshold, out=out, casting="unsafe"
-            )
-            return out
-
-        def est_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            bits = _as_uint8_bits(x, "split-matrix inputs")
-            return _apply_packed(
-                layer, bits, est_fn, add_bias=False, scratch=scratch
-            )
-
-        est_compute.prebinarized = emit_bits
-        return est_compute
-
     def matrix_fn(bits_u8: np.ndarray) -> np.ndarray:
         packed = matrix.pack(bits_u8)
         ones = matrix.ones_per_block(packed)
@@ -909,6 +670,7 @@ def packed_split_compute(
             obs_index, ones.sum(axis=1), matrix.rows, matrix.cols,
             blocks=matrix.num_blocks, cells_per_weight=cells,
             popcount_events=packed.codes.size,
+            pricer=pricer, bits=bits_u8,
         )
         n = bits_u8.shape[0]
         out = scratch.get("out", (n, matrix.cols), out_dtype)
@@ -1174,6 +936,10 @@ def assemble_packed_network(
     (programming variation) and per-read-noise crossbars keep the fused
     float path, so the engine is exact in every noise regime and fast
     exactly where the packed formulation applies.
+
+    The estimator rides on the fused assembly: its skip models price the
+    packed kernels too, and threshold-mode layers, whose output the
+    model computes, keep the fused compute.
     """
     # Local import: repro.core.engines registers this module's builder,
     # so the top-level dependency can only point one way.
@@ -1194,7 +960,10 @@ def assemble_packed_network(
             "the fused or reference engine"
         )
     inner = EngineSpec(
-        name="fused", hardware=spec.hardware, data_bits=spec.data_bits
+        name="fused",
+        hardware=spec.hardware,
+        data_bits=spec.data_bits,
+        estimator=spec.estimator,
     )
     binarized = assemble_sei_network(
         network,
@@ -1207,6 +976,9 @@ def assemble_packed_network(
 
     for index, info in binarized.hardware_layers.items():
         kind = info.get("kind")
+        pricer = info.get("pricer")
+        if pricer is not None and not pricer.exact:
+            continue
         if kind == "dac":
             fused_compute = info["compute"]
             binarized.layer_computes[index] = packed_dac_compute(
@@ -1227,9 +999,7 @@ def assemble_packed_network(
                 binarized.layer_computes[index] = packed_unsplit_compute(
                     crossbar, unit, obs_index=index,
                     hidden=index in thresholds,
-                    threshold=thresholds.get(index),
-                    bias=layer_bias(network.layers[index]),
-                    estimator=spec.estimator,
+                    pricer=pricer,
                 )
         elif kind == "split":
             split = info["matrix"]
@@ -1241,7 +1011,7 @@ def assemble_packed_network(
                 binarized.layer_computes[index] = packed_split_compute(
                     split, units, obs_index=index,
                     threshold=thresholds.get(index),
-                    estimator=spec.estimator,
+                    pricer=pricer,
                 )
         elif kind == "analog_merge":
             crossbars = info["crossbars"]

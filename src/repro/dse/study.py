@@ -221,8 +221,10 @@ def _activation_skip() -> Study:
     ``exact`` must keep accuracy bit-for-bit while cutting
     ``sei_dynamic_pj``, and ``threshold`` trades accuracy for deeper
     skipping through the confidence knob.  ``eval_wall_s`` joins the
-    objectives because the estimator's bound bookkeeping costs real
-    time — the Pareto front shows where prediction pays for itself.
+    objectives because the policy moves wall-clock both ways: ``exact``
+    runs the fused deferred-block vote schedule, faster than ``off``,
+    while ``threshold`` computes its layer outputs through the skip
+    model, slower than ``off``.
 
     The baseline predicate names ``confidence`` so pairing ignores it:
     every threshold variant compares against its engine's estimator-off
