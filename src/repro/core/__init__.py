@@ -22,7 +22,6 @@ from repro.core.hardware_network import (
     adc_layer_compute,
     assemble_adc_network,
     assemble_sei_network,
-    dac_analog_layer_compute,
 )
 from repro.core.engines import (
     EngineSpec,
@@ -118,5 +117,4 @@ __all__ = [
     "assemble_sei_network",
     "assemble_adc_network",
     "adc_layer_compute",
-    "dac_analog_layer_compute",
 ]

@@ -144,12 +144,23 @@ class BinarizedNetwork:
         input (e.g. ``(1, 28, 28)``) is accepted alongside the usual
         batched ``(n, 1, 28, 28)`` form and returns an unbatched logits
         vector — serving code can hand over requests as-is.
+
+        This is the one input check every engine relies on: anything
+        but finite values in the network's input shape raises
+        :class:`~repro.errors.ShapeError`.
         """
         x = np.asarray(x)
         input_shape = getattr(self.network, "input_shape", None)
         single = input_shape is not None and x.ndim == len(input_shape)
         if single:
             x = x[None]
+        if input_shape is not None and x.shape[1:] != tuple(input_shape):
+            raise ShapeError(
+                f"network input has shape {x.shape}, expected "
+                f"(n, {', '.join(map(str, input_shape))})"
+            )
+        if not np.isfinite(x).all():
+            raise ShapeError("network inputs must be finite")
         x = self._quantize_input(x)
         for index, layer in enumerate(self.network.layers):
             x = self._run_layer(index, layer, x)

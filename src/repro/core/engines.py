@@ -1,12 +1,6 @@
 """Engine registry: one typed spec for every inference backend.
 
-Historically the inference backends were selected by stringly-typed
-keyword arguments scattered across the package: ``engine='fused'`` /
-``engine='reference'`` on :func:`repro.core.hardware_network.assemble_sei_network`
-(and friends), with the noise / device / fabric options riding along as
-separate ``config=HardwareConfig(...)`` or ``device=RRAMDevice(...)``
-kwargs, and the ADC baseline living behind a different function
-altogether.  This module consolidates all of that into one value:
+Every inference backend is selected by one value:
 
 * :class:`EngineSpec` — *which* backend (``fused`` | ``reference`` |
   ``adc`` | ``packed``) plus *all* hardware/noise options it needs, as a
@@ -20,16 +14,15 @@ altogether.  This module consolidates all of that into one value:
   out.  ``repro.serve`` sessions, the CLI and the benchmarks all go
   through here.
 
-The old keyword forms still work but are deprecated:
-``assemble_sei_network(..., engine='reference')`` (a bare string) emits
-a :class:`DeprecationWarning` pointing at :class:`EngineSpec`.
+Engines are named by an :class:`EngineSpec`, never by a bare string:
+``assemble_sei_network(..., engine='reference')`` raises
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,19 +167,17 @@ def engine_builder(name: str) -> EngineBuilder:
 
 
 def resolve_engine(
-    engine: Union[EngineSpec, str, None],
+    engine: Optional[EngineSpec],
     hardware: Optional[HardwareConfig] = None,
     allowed: Optional[Sequence[str]] = None,
     caller: str = "this function",
-    stacklevel: int = 3,
 ) -> EngineSpec:
-    """Normalise the deprecated string/kwarg engine forms to an EngineSpec.
+    """Normalise an ``engine`` argument to an EngineSpec.
 
-    ``engine=None`` (the modern default) resolves to the default fused
-    spec with ``hardware`` folded in.  A bare string is the legacy form:
-    it still works, but emits a :class:`DeprecationWarning`.  Passing an
-    :class:`EngineSpec` alongside a separate ``hardware`` config is
-    ambiguous and rejected.
+    ``engine=None`` resolves to the default fused spec with ``hardware``
+    folded in.  Passing an :class:`EngineSpec` alongside a separate
+    ``hardware`` config is ambiguous and rejected, as is anything that
+    is not an EngineSpec (bare engine-name strings included).
     """
     if isinstance(engine, EngineSpec):
         if hardware is not None:
@@ -199,22 +190,10 @@ def resolve_engine(
         spec = EngineSpec(
             hardware=hardware if hardware is not None else HardwareConfig()
         )
-    elif isinstance(engine, str):
-        warnings.warn(
-            f"passing engine={engine!r} as a string to {caller} is "
-            "deprecated; pass repro.core.EngineSpec(name="
-            f"{engine!r}, hardware=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        spec = EngineSpec(
-            name=engine,
-            hardware=hardware if hardware is not None else HardwareConfig(),
-        )
     else:
         raise ConfigurationError(
-            f"engine must be an EngineSpec, a registered engine name or "
-            f"None, got {type(engine).__name__}"
+            f"{caller} takes an EngineSpec or None as its engine, got "
+            f"{engine!r}; pass repro.core.EngineSpec(name=..., hardware=...)"
         )
     if allowed is not None and spec.name not in allowed:
         raise ConfigurationError(
@@ -227,7 +206,7 @@ def resolve_engine(
 def compile_network(
     network: Sequential,
     thresholds: Dict[int, float],
-    spec: Union[EngineSpec, str, None] = None,
+    spec: Optional[EngineSpec] = None,
     *,
     decisions: Optional[Dict[int, SplitDecision]] = None,
     partitions: Optional[Dict[int, Partition]] = None,
@@ -243,8 +222,6 @@ def compile_network(
         (e.g. ``model.search.network`` / ``model.search.thresholds``).
     spec:
         Engine selection; ``None`` means the default fused SEI engine.
-        A bare string is accepted for backward compatibility (with a
-        :class:`DeprecationWarning`).
     decisions, partitions:
         Optional calibrated §4.3 split decisions / row partitions per
         layer index (from :func:`repro.core.pipeline.build_split_network`).

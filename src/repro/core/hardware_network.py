@@ -5,12 +5,16 @@ layer.  This module assembles the *whole* inference path the way the
 paper's SPICE emulation does (§5.1: "an 4-bit RRAM device model ... is
 used to build up the SPICE-level crossbar array"):
 
-* :func:`assemble_sei_network` — every weighted layer runs on
-  :class:`repro.core.sei.SEIMatrix` crossbars (4-bit cells, optional
-  programming variation / read noise / IR drop).  Oversized layers are
-  split into blocks, each block its *own* SEI crossbar feeding its own
-  sense amplifiers, merged by the §4.3 digital vote — the complete
-  Fig. 2(d) structure with non-ideal silicon underneath.
+* :func:`plan_layers` compiles each weighted layer, once, to one
+  :class:`LayerPlan` — the hardware shape it takes (the DAC-driven input
+  layer of §3.2, input-switched SEI crossbars whose block currents merge
+  in analog, or §4.3 split blocks with a digital vote), its programmed
+  4-bit crossbars (optional programming variation / read noise / IR
+  drop), thresholds, pricer and activity recorder.
+* An engine is a table from plan kind to kernel (:data:`FUSED_KERNELS`,
+  :data:`REFERENCE_KERNELS`, ``repro.core.packed.PACKED_KERNELS``);
+  :func:`assemble_plans` installs one kernel per plan, so every engine
+  runs the same programmed cells and the same RNG streams.
 * :func:`adc_layer_compute` / :func:`assemble_adc_network` — the
   functional model of the traditional designs: activations quantized by
   the DACs, weights on bit-sliced positive/negative crossbars, column
@@ -22,7 +26,8 @@ used to build up the SPICE-level crossbar array"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,16 +50,31 @@ from repro.core.matrix_compute import (
     layer_bias,
     layer_weight_matrix,
 )
-from repro.core.sei import SEIMatrix
-from repro.core.splitting import SplitDecision, SplitMatrix, required_blocks
+from repro.core.sei import SEIMatrix, decompose_weights
+from repro.core.splitting import (
+    SplitDecision,
+    SplitMatrix,
+    contiguous_spans,
+    required_blocks,
+)
 
 __all__ = [
     "HardwareConfig",
     "HardwareSplitMatrix",
+    "LayerPlan",
+    "plan_layers",
+    "assemble_plans",
     "assemble_sei_network",
+    "FUSED_KERNELS",
+    "REFERENCE_KERNELS",
     "adc_layer_compute",
     "assemble_adc_network",
 ]
+
+#: Integrality tolerance: |matrix/unit - round(matrix/unit)| above this
+#: means the cells do not sit on the integer nibble grid (programming
+#: variation) and the layer has no integral unit.
+_INT_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,13 +101,132 @@ class HardwareConfig:
             )
 
 
+def _collapse_cache(
+    arrays: Sequence[DeviceArrayBase],
+    collapse: Callable[[], np.ndarray],
+    static: bool,
+) -> Callable[[], np.ndarray]:
+    """``collapse()`` cached per generation of the device ``arrays``.
+
+    Static arrays collapse exactly once; aging arrays re-collapse lazily
+    whenever a generation counter moved.  Noisy reads (``static=False``)
+    draw fresh cells on every call, so nothing is cached.
+    """
+    if not static:
+        return collapse
+    cache: list = [None]
+
+    def matrices() -> np.ndarray:
+        generations = tuple(array.generation for array in arrays)
+        if cache[0] is None or cache[0][0] != generations:
+            cache[0] = (generations, collapse())
+        return cache[0][1]
+
+    return matrices
+
+
+def _sei_crossbar(
+    matrix: np.ndarray, config: HardwareConfig, rng: np.random.Generator
+) -> SEIMatrix:
+    """One SEI crossbar holding ``matrix``, programmed from ``rng``."""
+    return SEIMatrix(
+        matrix,
+        device=config.device,
+        weight_bits=config.weight_bits,
+        max_crossbar_size=config.max_crossbar_size,
+        ir_drop_lambda=config.ir_drop_lambda,
+        rng=rng,
+        temporal=config.temporal,
+    )
+
+
+def _read_crossbar(crossbar: SEIMatrix) -> np.ndarray:
+    """One crossbar's collapsed signed matrix, IR drop included.
+
+    The static cells when reads are noiseless; otherwise one vectorized
+    noisy read covering every slice (stream-identical to the per-slice
+    reference loop).
+    """
+    fused = crossbar.fused_matrix
+    if fused is not None:
+        return fused
+    return (
+        crossbar.read_effective_weights(crossbar.rng)
+        * crossbar.ir_drop_attenuation
+    )
+
+
+def _concatenated_reads(crossbars: Sequence[SEIMatrix]) -> np.ndarray:
+    """The block crossbars' matrices stacked in block order (analog merge)."""
+    return np.concatenate(
+        [_read_crossbar(crossbar) for crossbar in crossbars], axis=0
+    )
+
+
+def _integral_unit(matrix: np.ndarray, unit: float) -> Optional[float]:
+    """``unit`` if ``matrix == unit * N`` for an integer matrix ``N``.
+
+    Programming variation moves cells off the nibble grid (large
+    residual); stuck cells land on nibble 0 or 15 and stay integral.
+    """
+    if unit <= 0 or not np.isfinite(unit):
+        return None
+    quotient = matrix / unit
+    residual = np.abs(quotient - np.rint(quotient)).max(initial=0.0)
+    return unit if residual <= _INT_RESIDUAL_TOL else None
+
+
+class DacCrossbar:
+    """The input layer's bit-sliced crossbars, merged in analog (§3.2).
+
+    The input picture passes through 8-bit DACs onto the rows; the
+    positive/negative slices are programmed through one device array and
+    their output currents combine by scaled current summing before the
+    sense amplifiers — no ADC anywhere.
+    """
+
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        config: HardwareConfig,
+        rng: np.random.Generator,
+    ) -> None:
+        slices, self.coefficients, self.scale = decompose_weights(
+            matrix, config.weight_bits, config.device.bits
+        )
+        self.array = make_array(
+            config.device, temporal=config.temporal, rng=rng
+        )
+        self.array.program(slices, rng)
+        self.dac = DAC(bits=8)
+        self.cell_max = 2**config.device.bits - 1
+        self.cells_per_weight = len(self.coefficients)
+
+    def collapse(self) -> np.ndarray:
+        """The slices merged into one signed matrix (the analog sum)."""
+        return (
+            np.tensordot(self.coefficients, self.array.normalized, axes=1)
+            * self.cell_max
+            * self.scale
+        )
+
+    def compute_reference(self, driven: np.ndarray) -> np.ndarray:
+        """The pre-fusion per-slice loop (equivalence oracle)."""
+        total = np.zeros(driven.shape[:-1] + (self.array.normalized.shape[-1],))
+        for coeff, cells in zip(self.coefficients, self.array.normalized):
+            total = total + coeff * (driven @ cells) * self.cell_max
+        return total * self.scale
+
+
 class HardwareSplitMatrix(SplitMatrix):
     """A split matrix whose blocks are real SEI crossbars.
 
-    Overrides the exact partial sums of :class:`SplitMatrix` with
-    per-block :class:`SEIMatrix` computations, so 4-bit cell
-    quantization, programming variation, read noise and IR drop all
-    reach the block decisions.
+    Replaces the exact partial sums of :class:`SplitMatrix` with the
+    block crossbars' collapsed matrices, so 4-bit cell quantization,
+    programming variation, read noise and IR drop all reach the block
+    decisions.  Noiseless blocks stack into the padded ``(K, H, cols)``
+    layout once per device-array generation; noisy reads rebuild it
+    from one vectorized read per block on every call.
     """
 
     def __init__(
@@ -98,113 +237,345 @@ class HardwareSplitMatrix(SplitMatrix):
         config: HardwareConfig,
         bias: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        engine: str = "fused",
     ) -> None:
         super().__init__(weights, partition, decision, bias=bias)
         rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self._engine = engine
-        self._block_crossbars = [
-            SEIMatrix(
-                self.weights[block],
-                device=config.device,
-                weight_bits=config.weight_bits,
-                max_crossbar_size=config.max_crossbar_size,
-                ir_drop_lambda=config.ir_drop_lambda,
-                rng=rng,
-                temporal=config.temporal,
-            )
+        self.crossbars = [
+            _sei_crossbar(self.weights[block], config, rng)
             for block in self.blocks
         ]
-        # Noiseless blocks collapse to static signed matrices, so the K
-        # block crossbars fuse into one batched matmul over the padded
-        # block layout (see SplitMatrix).  Noisy reads stay per-crossbar:
-        # each SEIMatrix already reads all its slices in one vectorized
-        # draw.  The static collapse is cached against the block arrays'
-        # generation counters, so aging blocks re-collapse lazily.
-        self._fused_blocks = config.device.read_sigma <= 0
-        self._padded_cache: Optional[tuple] = None
+        self.matrices = _collapse_cache(
+            [crossbar.array for crossbar in self.crossbars],
+            self._padded_cells,
+            static=config.device.read_sigma <= 0,
+        )
 
-    @property
-    def block_arrays(self) -> list:
-        """The live device arrays behind the block crossbars."""
-        return [crossbar.array for crossbar in self._block_crossbars]
-
-    def _block_matrices(self) -> np.ndarray:
-        """Per-block signed matrices in the padded ``(K, H, cols)`` layout.
-
-        Noiseless reads return the cached static cells (re-collapsed
-        only when a block array's generation moved); noisy reads rebuild
-        the layout each call from one vectorized read per block (every
-        read covers all of that block's slices in a single RNG draw —
-        stream-identical to the per-slice reference loop).
-        """
-        if self._fused_blocks:
-            generations = tuple(
-                crossbar.array.generation
-                for crossbar in self._block_crossbars
-            )
-            cache = self._padded_cache
-            if cache is None or cache[0] != generations:
-                cells = np.zeros_like(self._padded_weights)
-                for k, (block, crossbar) in enumerate(
-                    zip(self.blocks, self._block_crossbars)
-                ):
-                    cells[k, : len(block)] = crossbar.fused_matrix
-                self._padded_cache = (generations, cells)
-            return self._padded_cache[1]
+    def _padded_cells(self) -> np.ndarray:
         cells = np.zeros_like(self._padded_weights)
-        for k, (block, crossbar) in enumerate(
-            zip(self.blocks, self._block_crossbars)
-        ):
-            cells[k, : len(block)] = (
-                crossbar.read_effective_weights(crossbar.rng)
-                * crossbar.ir_drop_attenuation
-            )
+        for k, (block, crossbar) in enumerate(zip(self.blocks, self.crossbars)):
+            cells[k, : len(block)] = _read_crossbar(crossbar)
         return cells
 
-    def _sums_from_gathered(self, gathered: np.ndarray) -> np.ndarray:
-        # The fused funnel: both block_sums and block_bits land here, so
-        # this is where the batch's read events reach the block arrays
-        # (the reference paths go through compute_reference, which
-        # accounts its own reads).
-        sums = super()._sums_from_gathered(gathered)
-        for crossbar in self._block_crossbars:
-            crossbar.array.note_reads(gathered.shape[0])
-        return sums
+    def _block_matrices(self) -> np.ndarray:
+        return self.matrices()
 
-    def block_sums(self, bits: np.ndarray, validate: bool = True) -> np.ndarray:
-        if self._engine == "reference":
-            return self.block_sums_reference(bits)
-        if validate:
-            ensure_binary(np.asarray(bits), "split-matrix inputs")
-        return super().block_sums(bits)
+    def _block_reference(self, k: int, rows: np.ndarray) -> np.ndarray:
+        # The pre-fusion crossbar loop (equivalence oracle).
+        return self.crossbars[k].compute_reference(rows)
 
-    def block_bits(self, bits: np.ndarray, validate: bool = True) -> np.ndarray:
-        if self._engine == "reference":
-            bits = self._as_rows(bits)
-            sums = self.block_sums_reference(bits)
-            ones = np.stack(
-                [bits[:, block].sum(axis=1) for block in self.blocks], axis=1
+
+# -- the layer plan --------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class LayerPlan:
+    """How one weighted layer compiled to hardware; every engine reads it.
+
+    ``kind`` is the hardware shape: ``'dac'`` (the DAC-driven input
+    layer), ``'merge'`` (SEI block crossbars whose currents sum in
+    analog before one sense-amp bank; an unsplit layer is a one-block
+    merge) or ``'split'`` (§4.3 blocks deciding separately, merged by the
+    digital vote of ``split.decision``).  The plan holds references to
+    the live crossbars, never copies.
+
+    ``blocks`` are the logical-row indices of each block and ``spans``
+    their ``(start, stop)`` ranges when every block is contiguous (else
+    None).  ``bias`` is the layer bias (the per-block bias on split
+    layers).  ``matrices()`` returns the collapsed cells in the kind's
+    layout — ``(rows, cols)`` for dac, ``(rows, cols)`` in block order
+    for merge, the padded ``(K, H, cols)`` stack for split — cached per
+    device-array generation.  ``units`` holds each block's integral unit
+    (``block matrix == unit * N`` for integer ``N``), or None when any
+    block is off the nibble grid, reads are noisy or the cells age.
+    """
+
+    index: int
+    kind: str
+    rows: int
+    cols: int
+    blocks: List[np.ndarray]
+    spans: Optional[List[Tuple[int, int]]]
+    crossbars: list
+    matrices: Callable[[], np.ndarray]
+    bias: np.ndarray
+    threshold: Optional[float] = None
+    split: Optional[HardwareSplitMatrix] = None
+    pricer: Optional[SkipModel] = None
+    units: Optional[Tuple[float, ...]] = None
+    noise_draws: int = 0
+
+    @property
+    def arrays(self) -> List[DeviceArrayBase]:
+        """The live device arrays behind the crossbars, in block order."""
+        return [crossbar.array for crossbar in self.crossbars]
+
+    @property
+    def cells_per_weight(self) -> int:
+        return self.crossbars[0].cells_per_weight
+
+    @property
+    def threshold_mode(self) -> bool:
+        """Whether the pricer's modelled early bits are the layer output."""
+        return self.pricer is not None and not self.pricer.exact
+
+    def note_reads(self, n: int) -> None:
+        """Count one read of every crossbar per position."""
+        for array in self.arrays:
+            array.note_reads(n)
+
+    def record(
+        self,
+        bits: np.ndarray,
+        counts: Optional[np.ndarray] = None,
+        popcount_events: int = 0,
+        skip: Optional[SkipStats] = None,
+    ) -> None:
+        """Count one crossbar call under ``hw/layer{index}``.
+
+        ``bits`` are the ``(n, rows)`` values on the rows (DAC levels on
+        the input layer); ``counts`` their popcounted active-row totals,
+        when the kernel has them.  The pricer supplies the modelled skip
+        counters unless ``skip`` already holds them.  One ``None`` check
+        while no recorder is active; the statistics never touch the RNG.
+        """
+        rec = obs.active()
+        if rec is None:
+            return
+        from repro.obs.power import record_mvm_batch
+
+        n = len(bits)
+        if self.kind == "dac":
+            # DACs convert every row each cycle whatever its value, so
+            # the power model shows no input-switched saving here.
+            counts = np.full(n, self.rows)
+        if skip is None and self.pricer is not None:
+            skip = self.pricer.price(bits)[1]
+        if skip is not None:
+            sa_events = skip.sa_events
+        elif self.kind == "split":
+            sa_events = None
+        else:
+            # Merged currents share one sense-amp bank.
+            sa_events = n * self.cols
+        skip = skip if skip is not None else SkipStats()
+        record_mvm_batch(
+            rec.metrics,
+            self.index,
+            None if counts is not None else bits,
+            self.cols,
+            rows=self.rows,
+            active_counts=counts,
+            blocks=len(self.blocks),
+            cells_per_weight=self.cells_per_weight,
+            sa_events=sa_events,
+            noise_draws=self.noise_draws,
+            digital_merge=self.kind == "split",
+            popcount_events=popcount_events,
+            skipped_rows=skip.skipped_rows,
+            skipped_slots=skip.skipped_slots,
+            est_positions=skip.est_positions,
+            est_decided=skip.est_decided,
+        )
+
+
+def plan_layers(
+    network: Sequential,
+    thresholds: Dict[int, float],
+    config: HardwareConfig,
+    estimator: EstimatorPolicy,
+    decisions: Optional[Dict[int, SplitDecision]] = None,
+    partitions: Optional[Dict[int, Partition]] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> List[LayerPlan]:
+    """Compile every weighted layer to one :class:`LayerPlan`, in order.
+
+    The first weighted layer stays DAC-driven (§3.2).  A layer that fits
+    one crossbar is a one-block merge; an oversized hidden layer splits
+    into §4.3 blocks (``decisions``/``partitions`` override the default
+    ``T/K`` majority vote and the config's partition method); the final
+    classifier merges its blocks in analog (current summing into the WTA
+    readout).  Crossbars program in layer order from ``rng``.
+    """
+    decisions = decisions if decisions is not None else {}
+    partitions = partitions if partitions is not None else {}
+    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    static = config.device.read_sigma <= 0
+    aging = config.temporal is not None and config.temporal.enabled
+    weighted = [
+        i
+        for i, layer in enumerate(network.layers)
+        if isinstance(layer, (Conv2D, Dense))
+    ]
+    plans = []
+    for index in weighted:
+        layer = network.layers[index]
+        matrix = layer_weight_matrix(layer)
+        rows, cols = matrix.shape
+        threshold = thresholds.get(index)
+        common = dict(index=index, rows=rows, cols=cols, threshold=threshold)
+
+        if index == weighted[0]:
+            crossbar = DacCrossbar(matrix, config, rng)
+            matrices = _collapse_cache(
+                [crossbar.array], crossbar.collapse, static=True
             )
-            thresholds = self.decision.thresholds_for(ones)
-            return (sums > thresholds[:, :, None]).astype(np.float64)
-        if validate:
-            ensure_binary(np.asarray(bits), "split-matrix inputs")
-        return super().block_bits(bits)
+            unit = None if aging else _integral_unit(
+                matrices(), crossbar.scale
+            )
+            plans.append(
+                LayerPlan(
+                    kind="dac",
+                    blocks=[np.arange(rows)],
+                    spans=[(0, rows)],
+                    crossbars=[crossbar],
+                    matrices=matrices,
+                    bias=layer_bias(layer),
+                    units=None if unit is None else (unit,),
+                    **common,
+                )
+            )
+            continue
 
-    def block_sums_reference(self, bits: np.ndarray) -> np.ndarray:
-        """Pre-fusion per-block crossbar loop (equivalence oracle)."""
-        bits = np.asarray(bits, dtype=np.float64)
-        if bits.ndim == 1:
-            bits = bits[None, :]
-        sums = np.empty((bits.shape[0], self.num_blocks, self.cols))
-        for k, (block, crossbar) in enumerate(
-            zip(self.blocks, self._block_crossbars)
+        cells_per_weight = 2 * (config.weight_bits // config.device.bits)
+        num_blocks = required_blocks(
+            rows, config.max_crossbar_size, cells_per_weight
+        )
+        partition = partitions.get(index)
+        if num_blocks > 1 and partition is None:
+            if config.partition_method == "homogenize":
+                partition = homogenize(
+                    matrix,
+                    num_blocks,
+                    iterations=config.homogenize_iterations,
+                    seed=config.seed,
+                )
+            else:
+                partition = natural_partition(rows, num_blocks)
+        blocks = (
+            [np.arange(rows)] if num_blocks <= 1 else partition.blocks()
+        )
+
+        split = None
+        if num_blocks > 1 and index != weighted[-1]:
+            decision = decisions.get(
+                index,
+                SplitDecision(
+                    block_threshold=thresholds[index] / num_blocks,
+                    vote_threshold=max(1, (num_blocks + 1) // 2),
+                ),
+            )
+            split = HardwareSplitMatrix(
+                matrix, partition, decision, config,
+                bias=layer_bias(layer), rng=rng,
+            )
+            crossbars, matrices, bias = (
+                split.crossbars, split.matrices, split.block_bias
+            )
+        else:
+            crossbars = [
+                _sei_crossbar(matrix[block], config, rng) for block in blocks
+            ]
+            matrices = _collapse_cache(
+                [crossbar.array for crossbar in crossbars],
+                partial(_concatenated_reads, crossbars),
+                static=static,
+            )
+            bias = layer_bias(layer)
+
+        pricer = None
+        # Exact/threshold pricing applies to static cells, on split
+        # layers and on hidden merges whose T lies in [0, 1), where the
+        # outer binarize maps an emitted 0/1 plane to itself.
+        if estimator.enabled and static and (
+            split is not None
+            or (threshold is not None and 0.0 <= threshold < 1.0)
         ):
-            sums[:, k, :] = (
-                crossbar.compute_reference(bits[:, block]) + self.block_bias
+            pricer = SkipModel(
+                [crossbar.fused_matrix for crossbar in crossbars],
+                blocks,
+                bias,
+                split.decision.thresholds_for if split else float(threshold),
+                split.decision.vote_threshold if split else 1,
+                estimator,
             )
-        return sums
+        units = None
+        if static and not aging:
+            found = tuple(
+                _integral_unit(
+                    crossbar.fused_matrix,
+                    float(crossbar.scale) * float(crossbar.ir_drop_attenuation),
+                )
+                for crossbar in crossbars
+            )
+            units = None if None in found else found
+        plans.append(
+            LayerPlan(
+                kind="merge" if split is None else "split",
+                blocks=blocks,
+                spans=contiguous_spans(blocks),
+                crossbars=crossbars,
+                matrices=matrices,
+                bias=bias,
+                split=split,
+                pricer=pricer,
+                units=units,
+                noise_draws=0 if static else sum(
+                    crossbar.num_cells for crossbar in crossbars
+                ),
+                **common,
+            )
+        )
+    return plans
+
+
+#: A kernel compiles one plan into the layer's compute; the flag says
+#: whether that compute already emits ``binarize(output, threshold)``
+#: (see :attr:`BinarizedNetwork.prebinarized`).
+Kernel = Callable[[LayerPlan], Tuple[Callable, bool]]
+
+
+def assemble_plans(
+    network: Sequential,
+    thresholds: Dict[int, float],
+    spec,
+    kernels: Dict[str, Kernel],
+    decisions: Optional[Dict[int, SplitDecision]] = None,
+    partitions: Optional[Dict[int, Partition]] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> BinarizedNetwork:
+    """Plan every weighted layer once and install ``kernels[plan.kind]``.
+
+    The result carries ``device_arrays``: every live device array, keyed
+    ``layer<i>`` (one crossbar) or ``layer<i>/block<k>`` — the registry
+    the serving layer ages, health-checks and re-tunes through.
+    """
+    config = spec.hardware
+    if spec.estimator.enabled and (
+        config.temporal is not None and config.temporal.enabled
+    ):
+        raise ConfigurationError(
+            "the runtime activation estimator prices skips against "
+            "static cells; temporal aging would make them stale — "
+            "disable one of the two"
+        )
+    binarized = BinarizedNetwork(network, dict(thresholds))
+    binarized.device_arrays = {}
+    folded = set()
+    for plan in plan_layers(
+        network, thresholds, config, spec.estimator,
+        decisions, partitions, rng,
+    ):
+        compute, prebinarized = kernels[plan.kind](plan)
+        binarized.layer_computes[plan.index] = compute
+        if prebinarized:
+            folded.add(plan.index)
+        for k, array in enumerate(plan.arrays):
+            name = f"layer{plan.index}"
+            if len(plan.arrays) > 1:
+                name += f"/block{k}"
+            binarized.device_arrays[name] = array
+    binarized.prebinarized = frozenset(folded)
+    return binarized
 
 
 def assemble_sei_network(
@@ -220,21 +591,16 @@ def assemble_sei_network(
 
     ``decisions``/``partitions`` override the split configuration per
     layer index (pass the calibrated ones from
-    :func:`repro.core.pipeline.build_split_network`); defaults are
-    ``T/K`` static thresholds with a majority vote and the config's
-    partition method.  The final classifier merges its blocks in analog
-    (current summing into the WTA readout), matching the pipeline
-    default.
+    :func:`repro.core.pipeline.build_split_network`); see
+    :func:`plan_layers` for the defaults.
 
-    ``engine`` selects the crossbar arithmetic, preferably as a
-    :class:`repro.core.engines.EngineSpec` (in which case ``config``
-    must be left unset — the hardware options live on the spec):
-    ``'fused'`` (default) collapses the bit-sliced crossbars of each
-    layer into stacked matmuls; ``'reference'`` keeps the pre-fusion
-    per-slice / per-block loops — numerically equivalent (identical
-    noise streams, partial sums re-associated), retained as the
-    equivalence oracle and perf-benchmark baseline.  Bare engine
-    strings are deprecated.
+    ``engine`` is a :class:`repro.core.engines.EngineSpec` (in which
+    case ``config`` must be left unset — the hardware options live on
+    the spec): ``'fused'`` (default) collapses the bit-sliced crossbars
+    of each layer into stacked matmuls; ``'reference'`` keeps the
+    pre-fusion per-slice / per-block loops — numerically equivalent
+    (identical noise streams, partial sums re-associated), retained as
+    the equivalence oracle and perf-benchmark baseline.
     """
     # Local import: repro.core.engines registers its builders on top of
     # this module, so the dependency cannot also point the other way at
@@ -247,705 +613,307 @@ def assemble_sei_network(
         allowed=("fused", "reference"),
         caller="assemble_sei_network",
     )
-    config = spec.hardware
-    engine = spec.name
-    estimator = spec.estimator
-    if estimator.enabled:
-        if engine == "reference":
-            raise ConfigurationError(
-                "the 'reference' engine is the equivalence oracle and "
-                "runs estimator-free; use the fused or packed engine"
-            )
-        if config.temporal is not None and config.temporal.enabled:
-            raise ConfigurationError(
-                "the runtime activation estimator prices skips against "
-                "static cells; temporal aging would make them stale — "
-                "disable one of the two"
-            )
-    decisions = decisions if decisions is not None else {}
-    partitions = partitions if partitions is not None else {}
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-
-    binarized = BinarizedNetwork(network, dict(thresholds))
-    # Per-layer assembly record: which hardware structure each weighted
-    # layer compiled to, with references to the live crossbar objects.
-    # Downstream engines that re-lower the compiled hardware (the packed
-    # popcount engine) and diagnostics read this instead of re-deriving
-    # the mapping.
-    hardware_layers: Dict[int, dict] = {}
-    binarized.hardware_layers = hardware_layers
-    # Flat registry of every live device array in the compiled network,
-    # keyed "layer<i>" / "layer<i>/block<k>".  The serving layer ages,
-    # health-checks and re-tunes through this — it is the one place the
-    # Sim/Phys split surfaces at network granularity.
-    device_arrays: Dict[str, DeviceArrayBase] = {}
-    binarized.device_arrays = device_arrays
-    weighted = [
-        i
-        for i, layer in enumerate(network.layers)
-        if isinstance(layer, (Conv2D, Dense))
-    ]
-    final_index = weighted[-1]
-
-    if engine == "reference":
+    reference = spec.name == "reference"
+    if reference and spec.estimator.enabled:
+        raise ConfigurationError(
+            "the 'reference' engine is the equivalence oracle and "
+            "runs estimator-free; use the fused or packed engine"
+        )
+    binarized = assemble_plans(
+        network,
+        thresholds,
+        spec,
+        REFERENCE_KERNELS if reference else FUSED_KERNELS,
+        decisions=decisions,
+        partitions=partitions,
+        rng=rng,
+    )
+    if reference:
         # The pre-fusion forward pass always ran the window-materialising
         # argmax pooling; pin it so the reference engine measures the true
         # pre-fusion inference cost (values are identical).
         for index, layer in enumerate(network.layers):
             if isinstance(layer, MaxPool2D):
-                binarized.layer_computes[index] = _reference_pool_compute()
+                binarized.layer_computes[index] = _reference_pool_compute
     else:
-        # A ReLU fed by a 1-bit thresholded layer only ever sees 0/1 data,
-        # on which max(x, 0) is an exact identity — skip the pass.
-        for index, layer in enumerate(network.layers):
-            if isinstance(layer, ReLU) and index - 1 in thresholds:
-                binarized.layer_computes[index] = _identity_compute()
-
-    for index in weighted:
-        layer = network.layers[index]
-        matrix = layer_weight_matrix(layer)
-        cells_per_weight = 2 * (config.weight_bits // config.device.bits)
-        blocks = required_blocks(
-            matrix.shape[0], config.max_crossbar_size, cells_per_weight
-        )
-
-        if index == weighted[0]:
-            # §3.2: the input layer stays DAC-driven (analog voltages on
-            # the rows); its bit-sliced crossbars merge in analog into
-            # the sense amplifiers.
-            dac_compute = dac_analog_layer_compute(
-                layer,
-                device=config.device,
-                weight_bits=config.weight_bits,
-                rng=rng,
-                engine=engine,
-                obs_index=index,
-                temporal=config.temporal,
-            )
-            binarized.layer_computes[index] = dac_compute
-            hardware_layers[index] = {"kind": "dac", "compute": dac_compute}
-            device_arrays[f"layer{index}"] = dac_compute.array
-            continue
-
-        if blocks <= 1:
-            crossbar = SEIMatrix(
-                matrix,
-                device=config.device,
-                weight_bits=config.weight_bits,
-                max_crossbar_size=config.max_crossbar_size,
-                ir_drop_lambda=config.ir_drop_lambda,
-                rng=rng,
-                temporal=config.temporal,
-            )
-            pricer = _unsplit_pricer(
-                crossbar, thresholds.get(index), layer_bias(layer), estimator
-            )
-            binarized.layer_computes[index] = _unsplit_compute(
-                crossbar, engine, obs_index=index, pricer=pricer
-            )
-            hardware_layers[index] = {
-                "kind": "unsplit",
-                "crossbar": crossbar,
-                "pricer": pricer,
-            }
-            device_arrays[f"layer{index}"] = crossbar.array
-            continue
-
-        partition = partitions.get(index)
-        if partition is None:
-            if config.partition_method == "homogenize":
-                partition = homogenize(
-                    matrix,
-                    blocks,
-                    iterations=config.homogenize_iterations,
-                    seed=config.seed,
-                )
-            else:
-                partition = natural_partition(matrix.shape[0], blocks)
-
-        if index == final_index:
-            # Analog merge: per-block crossbars, currents summed into the
-            # WTA readout — functionally the sum of block computes.
-            crossbars = [
-                SEIMatrix(
-                    matrix[block],
-                    device=config.device,
-                    weight_bits=config.weight_bits,
-                    max_crossbar_size=config.max_crossbar_size,
-                    ir_drop_lambda=config.ir_drop_lambda,
-                    rng=rng,
-                    temporal=config.temporal,
-                )
-                for block in partition.blocks()
-            ]
-            binarized.layer_computes[index] = _analog_merge_compute(
-                partition, crossbars, engine, obs_index=index
-            )
-            hardware_layers[index] = {
-                "kind": "analog_merge",
-                "partition": partition,
-                "crossbars": crossbars,
-            }
-            for k, crossbar in enumerate(crossbars):
-                device_arrays[f"layer{index}/block{k}"] = crossbar.array
-            continue
-
-        decision = decisions.get(
-            index,
-            SplitDecision(
-                block_threshold=thresholds[index] / blocks,
-                vote_threshold=max(1, (blocks + 1) // 2),
-            ),
-        )
-        split = HardwareSplitMatrix(
-            matrix,
-            partition,
-            decision,
-            config,
-            bias=layer_bias(layer),
-            rng=rng,
-            engine=engine,
-        )
-        pricer = (
-            SkipModel(
-                [xbar.fused_matrix for xbar in split._block_crossbars],
-                split.blocks,
-                split.block_bias,
-                split.decision.thresholds_for,
-                split.decision.vote_threshold,
-                estimator,
-            )
-            if estimator.enabled and split._fused_blocks
-            else None
-        )
-        binarized.layer_computes[index] = _split_compute(
-            split, obs_index=index, pricer=pricer
-        )
-        hardware_layers[index] = {
-            "kind": "split",
-            "matrix": split,
-            "pricer": pricer,
-        }
-        for k, array in enumerate(split.block_arrays):
-            device_arrays[f"layer{index}/block{k}"] = array
-
+        skip_binary_relus(binarized)
     return binarized
 
 
-def _record_mvms(
-    obs_index: Optional[int],
-    bits: np.ndarray,
-    cols: int,
-    *,
-    blocks: int = 1,
-    cells_per_weight: int,
-    sa_events: Optional[int] = None,
-    noise_draws: int = 0,
-    digital_merge: Optional[bool] = None,
-    skip: Optional[SkipStats] = None,
-    pricer: Optional[SkipModel] = None,
-) -> None:
-    """Count one crossbar invocation when a recorder is active.
+def skip_binary_relus(binarized: BinarizedNetwork) -> None:
+    """Install identity computes on ReLUs fed by a thresholded layer.
 
-    One ``None`` check when instrumentation is off; the activity
-    statistics never touch the RNG, so traced runs consume the exact
-    same noise stream as untraced ones.  A layer's ``pricer`` supplies
-    the modelled skip counters (unless ``skip`` already holds them).
+    Such a ReLU only ever sees 0/1 data, on which ``max(x, 0)`` is an
+    exact identity — the pass is skipped.
     """
-    rec = obs.active()
-    if rec is None or obs_index is None:
-        return
-    from repro.obs.power import record_mvm_batch
-
-    if skip is None and pricer is not None:
-        skip = pricer.price(bits)[1]
-    if skip is not None:
-        sa_events = skip.sa_events
-
-    record_mvm_batch(
-        rec.metrics,
-        obs_index,
-        bits,
-        cols,
-        blocks=blocks,
-        cells_per_weight=cells_per_weight,
-        sa_events=sa_events,
-        noise_draws=noise_draws,
-        digital_merge=digital_merge,
-        skipped_rows=skip.skipped_rows if skip else 0,
-        skipped_slots=skip.skipped_slots if skip else 0,
-        est_positions=skip.est_positions if skip else 0,
-        est_decided=skip.est_decided if skip else 0,
-    )
+    for index, layer in enumerate(binarized.network.layers):
+        if isinstance(layer, ReLU) and index - 1 in binarized.thresholds:
+            binarized.layer_computes[index] = _identity_compute
 
 
-def _reference_pool_compute():
+def _reference_pool_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+    out, _ = F.maxpool2d(x, layer.pool, layer.stride)
+    return out
+
+
+def _identity_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+    return x
+
+
+# -- fused kernels -----------------------------------------------------------------
+
+
+def _selection_compute(matrix_fn, what: str, **apply):
+    """A layer compute over 0/1 selection signals.
+
+    The signals are validated once on the compact input, before im2col
+    duplicates them kernel^2-fold; ``apply`` goes to
+    :func:`~repro.core.matrix_compute.apply_matrix_fn`.
+    """
+
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        out, _ = F.maxpool2d(x, layer.pool, layer.stride)
-        return out
+        ensure_binary(x, what)
+        return apply_matrix_fn(layer, x, matrix_fn, **apply)
 
     return compute
 
 
-def _identity_compute():
-    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        return x
-
-    return compute
-
-
-def _unsplit_pricer(
-    crossbar: SEIMatrix,
-    threshold: Optional[float],
-    bias: Optional[np.ndarray],
-    estimator: EstimatorPolicy,
-) -> Optional[SkipModel]:
-    """The skip model of an unsplit layer, where the estimator applies.
-
-    Only on static (noiseless-read) cells — the model prices the
-    collapsed matrix — and only for thresholded hidden layers whose T
-    lies in [0, 1), where the outer binarize maps an emitted 0/1 plane
-    to itself.
-    """
-    if (
-        not estimator.enabled
-        or crossbar.fused_matrix is None
-        or threshold is None
-        or not 0.0 <= threshold < 1.0
-    ):
-        return None
-    return SkipModel(
-        [crossbar.fused_matrix],
-        [np.arange(crossbar.logical_rows)],
-        np.zeros(crossbar.cols) if bias is None else bias,
-        float(threshold),
-        1,
-        estimator,
-    )
-
-
-def _threshold_compute(pricer: SkipModel, arrays, record):
-    """Threshold-mode layer: the modelled early bits are its output."""
+def _threshold_kernel(plan: LayerPlan):
+    """Threshold-mode layer: the pricer's modelled early bits are its output."""
 
     def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        out, stats = pricer.price(bits)
-        for array in arrays:
-            array.note_reads(bits.shape[0])
-        record(bits, skip=stats)
+        out, stats = plan.pricer.price(bits)
+        plan.note_reads(bits.shape[0])
+        plan.record(bits, skip=stats)
+        return out
+
+    compute = _selection_compute(
+        matrix_fn, "SEI inputs", add_bias=False, contiguous=False
+    )
+    return compute, False
+
+
+def _fused_dac(plan: LayerPlan):
+    dac = plan.crossbars[0].dac
+
+    def matrix_fn(driven: np.ndarray) -> np.ndarray:
+        plan.record(driven)
+        out = driven @ plan.matrices()
+        plan.note_reads(driven.shape[0])
         return out
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        ensure_binary(x, "SEI inputs")
-        return apply_matrix_fn(
-            layer, x, matrix_fn, add_bias=False, contiguous=False
-        )
-
-    return compute
-
-
-def _unsplit_compute(
-    crossbar: SEIMatrix, engine: str = "fused",
-    obs_index: Optional[int] = None,
-    pricer: Optional[SkipModel] = None,
-):
-    noise_draws = crossbar.num_cells if crossbar.fused_matrix is None else 0
-
-    def record(bits: np.ndarray, skip: Optional[SkipStats] = None) -> None:
-        _record_mvms(
-            obs_index, bits, crossbar.cols,
-            cells_per_weight=crossbar.cells_per_weight,
-            noise_draws=noise_draws,
-            skip=skip,
-            pricer=pricer,
-        )
-
-    if engine == "reference":
-
-        def reference_fn(bits: np.ndarray) -> np.ndarray:
-            record(bits)
-            return crossbar.compute_reference(bits)
-
-        def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            return apply_matrix_fn(layer, x, reference_fn)
-
-        return compute
-
-    if pricer is not None and not pricer.exact:
-        return _threshold_compute(pricer, [crossbar.array], record)
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        record(bits)
-        return crossbar.compute(bits, validate=False)
-
-    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        # Validate the selection signals before im2col duplicates them
-        # kernel^2-fold; the crossbar then skips its own re-check.  The
-        # output feeds straight into binarization, which writes a fresh
-        # buffer, so the folded view is never materialised.
-        ensure_binary(x, "SEI inputs")
-        return apply_matrix_fn(layer, x, matrix_fn, contiguous=False)
-
-    return compute
-
-
-def _split_compute(
-    split: HardwareSplitMatrix,
-    obs_index: Optional[int] = None,
-    pricer: Optional[SkipModel] = None,
-):
-    noise_draws = sum(
-        xbar.num_cells
-        for xbar in split._block_crossbars
-        if xbar.fused_matrix is None
-    )
-
-    def record(bits: np.ndarray, skip: Optional[SkipStats] = None) -> None:
-        _record_mvms(
-            obs_index, bits, split.cols,
-            blocks=split.num_blocks,
-            cells_per_weight=split._block_crossbars[0].cells_per_weight,
-            noise_draws=noise_draws,
-            skip=skip,
-            pricer=pricer,
-        )
-
-    if split._engine == "reference":
-
-        def reference_fn(bits: np.ndarray) -> np.ndarray:
-            record(bits)
-            return split.fire(bits)
-
-        def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            return apply_matrix_fn(layer, x, reference_fn, add_bias=False)
-
-        return compute
-
-    if pricer is not None and not pricer.exact:
-        return _threshold_compute(pricer, split.block_arrays, record)
-
-    if pricer is not None:
-        # Exact mode: the deferred-block vote schedule.  Blocks run with
-        # the *same* gathered layout + strided matmuls as the off path
-        # (bit-identical arithmetic by construction), but each block's
-        # GEMM only sees the positions whose §4.3 vote is still live —
-        # once a position's vote is settled (counts >= V, or
-        # mathematically unreachable), its remaining block crossbars are
-        # never driven.  The skip counters come from the pricer.
-        vote = split.decision.vote_threshold
-        num_blocks = split.num_blocks
-        cols = split.cols
-        # Natural (contiguous-range) partitions need no gather at all: a
-        # block's column slice of the batch feeds BLAS as-is (bitwise
-        # identical to the gathered layout — trailing padded zero rows
-        # never change a partial sum, and 0/1 counts are exact in any
-        # order).  Scattered partitions keep the off path's flat gather.
-        spans = []
-        for rows_k in split.blocks:
-            rows_k = np.asarray(rows_k, dtype=np.intp)
-            first = int(rows_k[0]) if rows_k.size else 0
-            last = first + rows_k.size
-            if not np.array_equal(rows_k, np.arange(first, last)):
-                spans = None
-                break
-            spans.append((first, last))
-
-        def blocks_fn(bits: np.ndarray) -> np.ndarray:
-            n = bits.shape[0]
-            matrices = split._block_matrices()
-            if spans is None:
-                gathered = split._gathered(bits)
-                ones_blk = gathered.sum(axis=2)
-            else:
-                gathered = bits
-                ones_blk = np.stack(
-                    [bits[:, a:b].sum(axis=1) for a, b in spans], axis=1
-                )
-            counts = np.zeros((n, cols), dtype=np.uint8)
-            alive = np.arange(n)
-            g_al = gathered
-            ones_al = ones_blk
-            counts_al = counts
-            dec_al = np.zeros((n, cols), dtype=bool)
-            for k in range(num_blocks):
-                if alive.size == 0:
-                    break
-                split._block_crossbars[k].array.note_reads(alive.size)
-                if spans is None:
-                    operand = g_al[:, k, :]
-                    mat = matrices[k]
-                else:
-                    first, last = spans[k]
-                    operand = g_al[:, first:last]
-                    mat = matrices[k][: last - first]
-                sums = operand @ mat
-                sums += split.block_bias
-                thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
-                np.add(counts_al, sums > thr, out=counts_al, casting="unsafe")
-                remaining = num_blocks - 1 - k
-                # A position can only retire once a vote is reachable
-                # (k+1 >= vote) or unreachable (remaining < vote) —
-                # skip the decision planes on blocks where neither holds.
-                if not remaining or (k + 1 < vote and remaining >= vote):
-                    continue
-                dec_al = (
-                    dec_al
-                    | (counts_al >= vote)
-                    | (counts_al + remaining < vote)
-                )
-                done = dec_al.all(axis=1)
-                if done.any():
-                    counts[alive[done]] = counts_al[done]
-                    keep = ~done
-                    alive = alive[keep]
-                    g_al = g_al[keep]
-                    ones_al = ones_al[keep]
-                    counts_al = counts_al[keep]
-                    dec_al = dec_al[keep]
-            if alive.size:
-                counts[alive] = counts_al
-            record(bits)
-            return (counts >= vote).astype(np.float64)
-
-        def blocks_compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-            ensure_binary(x, "split-matrix inputs")
-            return apply_matrix_fn(
-                layer, x, blocks_fn, add_bias=False, contiguous=False
-            )
-
-        return blocks_compute
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        record(bits)
-        counts = split.block_bits(bits, validate=False).sum(axis=1)
-        return (counts >= split.decision.vote_threshold).astype(np.float64)
-
-    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        # As above: one validation pass on the compact input beats
-        # re-checking the unfolded receptive fields.
-        ensure_binary(x, "split-matrix inputs")
-        return apply_matrix_fn(
-            layer, x, matrix_fn, add_bias=False, contiguous=False
-        )
-
-    return compute
-
-
-def _analog_merge_compute(
-    partition: Partition, crossbars, engine: str = "fused",
-    obs_index: Optional[int] = None,
-):
-    blocks = partition.blocks()
-    noise_draws = sum(
-        xbar.num_cells for xbar in crossbars if xbar.fused_matrix is None
-    )
-
-    def record(bits: np.ndarray) -> None:
-        # The block currents merge in analog before one shared SA bank,
-        # so SA comparisons do not scale with the block count and no
-        # digital vote runs.
-        n = bits.shape[0] if bits.ndim > 1 else 1
-        _record_mvms(
-            obs_index, bits, crossbars[0].cols,
-            blocks=len(crossbars),
-            cells_per_weight=crossbars[0].cells_per_weight,
-            sa_events=n * crossbars[0].cols,
-            noise_draws=noise_draws,
-            digital_merge=False,
-        )
-
-    # The merge is a straight current sum over blocks, so the K crossbars
-    # concatenate into ONE matrix indexed by the permuted input order: a
-    # single matmul replaces the per-block loop.  Noiseless reads
-    # concatenate once per device-array generation (exactly once on
-    # static arrays); noisy reads rebuild the stack each call from one
-    # vectorized read per crossbar (stream-identical to the per-slice
-    # reference loop).
-    perm = np.concatenate([np.asarray(b, dtype=np.intp) for b in blocks])
-    fused = engine != "reference" and all(
-        xbar.fused_matrix is not None for xbar in crossbars
-    )
-    static_cache: list = [None]
-
-    def static_matrix() -> np.ndarray:
-        generations = tuple(xbar.array.generation for xbar in crossbars)
-        cache = static_cache[0]
-        if cache is None or cache[0] != generations:
-            static_cache[0] = (
-                generations,
-                np.concatenate(
-                    [xbar.fused_matrix for xbar in crossbars], axis=0
-                ),
-            )
-        return static_cache[0][1]
-
-    def note_reads(bits: np.ndarray) -> None:
-        n = bits.shape[0] if bits.ndim > 1 else 1
-        for xbar in crossbars:
-            xbar.array.note_reads(n)
-
-    def matrix_fn(bits: np.ndarray) -> np.ndarray:
-        record(bits)
-        if engine == "reference":
-            total = None
-            for block, crossbar in zip(blocks, crossbars):
-                part = crossbar.compute_reference(bits[:, block])
-                total = part if total is None else total + part
-            return total
-        ensure_binary(bits, "analog-merge inputs")
-        if fused:
-            out = bits[..., perm] @ static_matrix()
-        else:
-            stacked = np.concatenate(
-                [
-                    xbar.read_effective_weights(xbar.rng)
-                    * xbar.ir_drop_attenuation
-                    for xbar in crossbars
-                ],
-                axis=0,
-            )
-            out = bits[..., perm] @ stacked
-        note_reads(bits)
-        return out
-
-    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        return apply_matrix_fn(layer, x, matrix_fn)
-
-    return compute
-
-
-def _record_dac(
-    obs_index: Optional[int],
-    driven_rows: np.ndarray,
-    cols: int,
-    cells_per_weight: int,
-) -> None:
-    """Activity counters for the DAC-driven input layer (§3.2).
-
-    DACs convert every row each cycle regardless of value, so every row
-    counts as active — the power estimator then correctly shows no
-    input-switched saving on this layer.
-    """
-    rec = obs.active()
-    if rec is None or obs_index is None:
-        return
-    if driven_rows.ndim == 1:
-        n, rows = 1, driven_rows.shape[0]
-    else:
-        n, rows = driven_rows.shape
-    scope = rec.metrics.scope(f"hw/layer{obs_index}")
-    scope.inc("mvms", n)
-    scope.inc("positions", n)
-    scope.inc("active_rows", n * rows)
-    scope.inc("sa_events", n * cols)
-    scope.set_gauge("rows", rows)
-    scope.set_gauge("cols", cols)
-    scope.set_gauge("blocks", 1)
-    scope.set_gauge("digital_merge", 0)
-    scope.set_gauge("cells_per_weight", cells_per_weight)
-    scope.observe("row_activity", np.full(n, 1.0))
-
-
-def dac_analog_layer_compute(
-    layer: Layer,
-    device: Optional[RRAMDevice] = None,
-    weight_bits: int = 8,
-    data_bits: int = 8,
-    rng: Optional[np.random.Generator] = None,
-    engine: str = "fused",
-    obs_index: Optional[int] = None,
-    temporal: Optional[TemporalConfig] = None,
-):
-    """The SEI design's input layer: DAC-driven crossbars, analog merge.
-
-    Activations pass through ``data_bits`` DACs; the bit-sliced
-    positive/negative crossbars are programmed through a device array;
-    their output currents combine in the analog domain (scaled summing)
-    before the sense amplifiers — no ADC anywhere (§3.2 / mapper
-    convention).  ``engine='reference'`` keeps the pre-fusion per-slice
-    loop.
-    """
-    device = device if device is not None else RRAMDevice(bits=4)
-    rng = rng if rng is not None else np.random.default_rng()
-
-    from repro.core.sei import decompose_weights
-
-    matrix = layer_weight_matrix(layer)
-    slices, coefficients, scale = decompose_weights(
-        matrix, weight_bits, device.bits
-    )
-    array = make_array(device, temporal=temporal, rng=rng)
-    array.program(slices, rng)
-    dac = DAC(bits=data_bits)
-    cell_max = 2**device.bits - 1
-
-    # The bit-sliced crossbars merge in the analog domain (scaled current
-    # summing), so the programmed slices collapse into a single signed
-    # matrix — each call is then one DAC quantization + one matmul.  The
-    # collapse is cached per device-array generation (exactly once on a
-    # static array).
-    merged_cache: list = [None]
-
-    def merged_matrix() -> np.ndarray:
-        generation = array.generation
-        cache = merged_cache[0]
-        if cache is None or cache[0] != generation:
-            merged_cache[0] = (
-                generation,
-                np.tensordot(coefficients, array.normalized, axes=1)
-                * cell_max
-                * scale,
-            )
-        return merged_cache[0][1]
-
-    def note_reads(driven: np.ndarray) -> None:
-        array.note_reads(driven.shape[0] if driven.ndim > 1 else 1)
-
-    def matrix_fn(x: np.ndarray) -> np.ndarray:
-        driven = dac.quantize(np.clip(x, 0.0, 1.0))
-        _record_dac(obs_index, driven, matrix.shape[1], array.shape[0])
-        if engine == "reference":
-            total = np.zeros(driven.shape[:-1] + (matrix.shape[1],))
-            for coeff, cells in zip(coefficients, array.normalized):
-                total = total + coeff * (driven @ cells) * cell_max
-            out = total * scale
-        else:
-            out = driven @ merged_matrix()
-        note_reads(driven)
-        return out
-
-    def fused_matrix_fn(driven: np.ndarray) -> np.ndarray:
-        _record_dac(obs_index, driven, matrix.shape[1], array.shape[0])
-        out = driven @ merged_matrix()
-        note_reads(driven)
-        return out
-
-    def compute(inner_layer: Layer, x: np.ndarray) -> np.ndarray:
-        if engine == "reference":
-            return apply_matrix_fn(inner_layer, x, matrix_fn)
         # The DACs sit on the feature-map values; quantizing before the
         # im2col unfold touches each value once instead of once per
         # receptive field it lands in.  Bit-identical: quantization is
         # elementwise, the unfold is a gather, and zero padding maps to
         # the zero DAC level either way.
         driven = dac.quantize(np.clip(x, 0.0, 1.0))
-        return apply_matrix_fn(
-            inner_layer, driven, fused_matrix_fn, contiguous=False
-        )
+        return apply_matrix_fn(layer, driven, matrix_fn, contiguous=False)
 
-    # Expose the compiled analog state for engines that re-lower this
-    # layer (the packed engine drives the same merged matrix with
-    # integer DAC codes instead of quantized floats; it refuses aging
-    # arrays, so the compile-time collapse it captures here stays valid).
-    compute.merged = merged_matrix()
-    compute.dac = dac
-    compute.cells_per_weight = array.shape[0]
-    compute.array = array
-    # Without programming variation every normalized cell sits on the
-    # nibble grid, so merged == scale * N for integer N — the packed
-    # engine checks that against this unit to run the matmul in exact
-    # float32 integer arithmetic.
-    compute.unit = float(scale)
-    return compute
+    return compute, False
+
+
+def _fused_merge(plan: LayerPlan):
+    if plan.threshold_mode:
+        return _threshold_kernel(plan)
+    # The merge is a straight current sum over blocks, so the block
+    # crossbars concatenate into ONE matrix indexed by the permuted
+    # input order: a single matmul replaces the per-block loop.  A
+    # one-block merge reads its rows in place.
+    order = None if len(plan.blocks) == 1 else np.concatenate(plan.blocks)
+
+    def matrix_fn(bits: np.ndarray) -> np.ndarray:
+        plan.record(bits)
+        # The gather keeps the plane's dtype (a uint8 plane from a packed
+        # pool multiplies as such); in-place rows multiply as float64.
+        if order is None:
+            out = np.asarray(bits, dtype=np.float64) @ plan.matrices()
+        else:
+            out = bits[:, order] @ plan.matrices()
+        plan.note_reads(bits.shape[0])
+        return out
+
+    # A hidden layer's output feeds straight into binarization, which
+    # writes a fresh buffer, so the folded view is never materialised.
+    compute = _selection_compute(
+        matrix_fn, "SEI inputs", contiguous=plan.threshold is None
+    )
+    return compute, False
+
+
+def _fused_split(plan: LayerPlan):
+    if plan.threshold_mode:
+        return _threshold_kernel(plan)
+    split = plan.split
+    vote = split.decision.vote_threshold
+
+    def matrix_fn(bits: np.ndarray) -> np.ndarray:
+        plan.record(bits)
+        counts = split.block_bits(bits).sum(axis=1)
+        plan.note_reads(bits.shape[0])
+        return (counts >= vote).astype(np.float64)
+
+    compute = _selection_compute(
+        matrix_fn if plan.pricer is None else _deferred_blocks(plan),
+        "split-matrix inputs",
+        add_bias=False,
+        contiguous=False,
+    )
+    return compute, False
+
+
+def _deferred_blocks(plan: LayerPlan):
+    """Exact mode's split schedule: the deferred-block vote.
+
+    Blocks run with the *same* gathered layout + strided matmuls as the
+    off path (bit-identical arithmetic by construction), but each
+    block's GEMM only sees the positions whose §4.3 vote is still live —
+    once a position's vote is settled (counts >= V, or mathematically
+    unreachable), its remaining block crossbars are never driven.  The
+    skip counters come from the pricer.
+
+    Natural (contiguous-span) partitions need no gather at all: a
+    block's column slice of the batch feeds BLAS as-is (bitwise
+    identical to the gathered layout — trailing padded zero rows never
+    change a partial sum, and 0/1 counts are exact in any order).
+    Scattered partitions keep the off path's flat gather.
+    """
+    split = plan.split
+    spans = plan.spans
+    vote = split.decision.vote_threshold
+    num_blocks = split.num_blocks
+    cols = split.cols
+
+    def blocks_fn(bits: np.ndarray) -> np.ndarray:
+        n = bits.shape[0]
+        matrices = plan.matrices()
+        if spans is None:
+            gathered = split._gathered(bits)
+            ones_blk = gathered.sum(axis=2)
+        else:
+            gathered = bits
+            ones_blk = np.stack(
+                [bits[:, a:b].sum(axis=1) for a, b in spans], axis=1
+            )
+        counts = np.zeros((n, cols), dtype=np.uint8)
+        alive = np.arange(n)
+        g_al = gathered
+        ones_al = ones_blk
+        counts_al = counts
+        dec_al = np.zeros((n, cols), dtype=bool)
+        for k in range(num_blocks):
+            if alive.size == 0:
+                break
+            plan.arrays[k].note_reads(alive.size)
+            if spans is None:
+                operand = g_al[:, k, :]
+                mat = matrices[k]
+            else:
+                first, last = spans[k]
+                operand = g_al[:, first:last]
+                mat = matrices[k][: last - first]
+            sums = operand @ mat
+            sums += split.block_bias
+            thr = split.decision.thresholds_for(ones_al[:, k])[:, None]
+            np.add(counts_al, sums > thr, out=counts_al, casting="unsafe")
+            remaining = num_blocks - 1 - k
+            # A position can only retire once a vote is reachable
+            # (k+1 >= vote) or unreachable (remaining < vote) —
+            # skip the decision planes on blocks where neither holds.
+            if not remaining or (k + 1 < vote and remaining >= vote):
+                continue
+            dec_al = (
+                dec_al
+                | (counts_al >= vote)
+                | (counts_al + remaining < vote)
+            )
+            done = dec_al.all(axis=1)
+            if done.any():
+                counts[alive[done]] = counts_al[done]
+                keep = ~done
+                alive = alive[keep]
+                g_al = g_al[keep]
+                ones_al = ones_al[keep]
+                counts_al = counts_al[keep]
+                dec_al = dec_al[keep]
+        if alive.size:
+            counts[alive] = counts_al
+        plan.record(bits)
+        return (counts >= vote).astype(np.float64)
+
+    return blocks_fn
+
+
+#: The fused engine: collapsed float64 matmuls, one per layer.
+FUSED_KERNELS: Dict[str, Kernel] = {
+    "dac": _fused_dac,
+    "merge": _fused_merge,
+    "split": _fused_split,
+}
+
+
+# -- reference kernels (the equivalence oracle) ------------------------------------
+
+
+def _reference_dac(plan: LayerPlan):
+    crossbar = plan.crossbars[0]
+
+    def matrix_fn(x: np.ndarray) -> np.ndarray:
+        driven = crossbar.dac.quantize(np.clip(x, 0.0, 1.0))
+        plan.record(driven)
+        out = crossbar.compute_reference(driven)
+        plan.note_reads(driven.shape[0])
+        return out
+
+    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+        return apply_matrix_fn(layer, x, matrix_fn)
+
+    return compute, False
+
+
+def _reference_merge(plan: LayerPlan):
+    def matrix_fn(bits: np.ndarray) -> np.ndarray:
+        plan.record(bits)
+        total = None
+        for block, crossbar in zip(plan.blocks, plan.crossbars):
+            part = crossbar.compute_reference(bits[:, block])
+            total = part if total is None else total + part
+        return total
+
+    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+        return apply_matrix_fn(layer, x, matrix_fn)
+
+    return compute, False
+
+
+def _reference_split(plan: LayerPlan):
+    split = plan.split
+
+    def matrix_fn(bits: np.ndarray) -> np.ndarray:
+        plan.record(bits)
+        bits = split._as_rows(bits)
+        sums = split.block_sums_reference(bits)
+        ones = np.stack(
+            [bits[:, block].sum(axis=1) for block in split.blocks], axis=1
+        )
+        thresholds = split.decision.thresholds_for(ones)
+        fired = (sums > thresholds[:, :, None]).astype(np.float64)
+        counts = fired.sum(axis=1)
+        return (counts >= split.decision.vote_threshold).astype(np.float64)
+
+    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
+        return apply_matrix_fn(layer, x, matrix_fn, add_bias=False)
+
+    return compute, False
+
+
+#: The reference engine: the pre-fusion per-slice / per-block loops.
+REFERENCE_KERNELS: Dict[str, Kernel] = {
+    "dac": _reference_dac,
+    "merge": _reference_merge,
+    "split": _reference_split,
+}
 
 
 # -- the traditional (ADC) designs, functionally --------------------------------
@@ -976,8 +944,6 @@ def adc_layer_compute(
     tech = tech if tech is not None else TechnologyModel()
     device = device if device is not None else RRAMDevice(bits=tech.cell_bits)
     rng = rng if rng is not None else np.random.default_rng()
-
-    from repro.core.sei import decompose_weights
 
     matrix = layer_weight_matrix(layer)
     slices, coefficients, scale = decompose_weights(

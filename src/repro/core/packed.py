@@ -35,16 +35,16 @@ decisions never leave the integer domain either: the Equ. 7 comparison
 per-(block, ones) table of minimal firing accumulator values, so
 inference compares int16 accumulators against gathered int16 thresholds.
 
-Crossbars that are *not* integral (programming variation, per-read
-noise) keep the fused engine's compute for that layer: the assembled
-network is built by :func:`repro.core.hardware_network.assemble_sei_network`
-first (identical RNG stream, identical programmed cells) and only the
-integral crossbars are re-pointed at the packed kernel.  Noise therefore
-lands as the same post-accumulation float corrections the fused engine
+The engine is a kernel table over the same layer plans as the fused
+engine (:func:`repro.core.hardware_network.plan_layers`: identical RNG
+stream, identical programmed cells).  A plan whose crossbars are
+integral (``plan.units`` set) runs the packed integer kernel; a plan
+that is not (programming variation, per-read noise) runs the fused
+kernel, so noise lands as the same float corrections the fused engine
 applies, and conformance against the reference oracle holds at
 ``SEI_RTOL``/``SEI_ATOL`` in every noise regime.  The DAC-driven input
 layer (§3.2) carries 8-bit levels rather than selection bits; it is
-re-lowered to integer DAC codes (``k/steps`` levels become uint8 ``k``)
+lowered to integer DAC codes (``k/steps`` levels become uint8 ``k``)
 against the same merged analog matrix, which needs no integrality.
 """
 
@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro._compat import popcount
 from repro.errors import ConfigurationError, MappingError, ShapeError
 from repro.nn import functional as F
@@ -63,8 +62,14 @@ from repro.nn.layers import Conv2D, Dense, Layer, MaxPool2D
 from repro.nn.network import Sequential
 
 from repro.core.binarized import BinarizedNetwork
-from repro.core.estimate import SkipModel
+from repro.core.hardware_network import (
+    FUSED_KERNELS,
+    LayerPlan,
+    assemble_plans,
+    skip_binary_relus,
+)
 from repro.core.matrix_compute import ensure_binary, layer_bias
+from repro.core.splitting import contiguous_spans
 
 __all__ = [
     "PackedBits",
@@ -72,16 +77,12 @@ __all__ = [
     "unpack_bits",
     "build_group_tables",
     "PackedMatrix",
+    "PACKED_KERNELS",
     "assemble_packed_network",
 ]
 
 #: Rows per packed group: one byte lane of the packed activation plane.
 GROUP_ROWS = 8
-
-#: Integrality tolerance: |fused/unit - round(fused/unit)| above this
-#: means the crossbar's cells do not sit on the integer nibble grid
-#: (programming variation) and the layer stays on the float path.
-_INT_RESIDUAL_TOL = 1e-6
 
 #: Rows per uint8->float64 widening chunk in the DAC input lowering;
 #: sized so chunk * im2col-width float64 stays cache-resident.
@@ -142,10 +143,6 @@ class PackedBits:
     @property
     def words(self) -> np.ndarray:
         return _codes_to_words(self.codes)
-
-    @property
-    def positions(self) -> int:
-        return self.codes.shape[0]
 
     @property
     def groups(self) -> int:
@@ -249,7 +246,7 @@ class PackedMatrix:
         scale and IR drop included).
     block_units:
         Per-block ``unit`` such that ``block_matrices[k] == unit_k * N_k``
-        for integer ``N_k`` (within :data:`_INT_RESIDUAL_TOL`).
+        for integer ``N_k`` (the plan's ``units``).
     blocks:
         Per-block logical-row index lists (the partition; word-line
         order of each block's crossbar).
@@ -296,7 +293,7 @@ class PackedMatrix:
         # skip the row gather entirely: each block packs straight from a
         # slice of the input, with np.packbits supplying the trailing
         # zero padding.
-        self._ranges = self._contiguous_ranges(blocks)
+        self._ranges = contiguous_spans(blocks)
         self.tables = build_group_tables(int_rows)
         # Accumulator dtype: |acc| never exceeds the per-column sum of
         # |N| over a block's rows, so int16 is safe (and halves memory
@@ -309,43 +306,6 @@ class PackedMatrix:
             np.int16 if self.acc_bound < np.iinfo(np.int16).max else np.int32
         )
         self._scratch = _Scratch()
-
-    @staticmethod
-    def _contiguous_ranges(
-        blocks: Sequence[np.ndarray],
-    ) -> Optional[List[Tuple[int, int]]]:
-        ranges: List[Tuple[int, int]] = []
-        for block in blocks:
-            block = np.asarray(block)
-            if block.size == 0:
-                return None
-            lo = int(block[0])
-            if not np.array_equal(block, np.arange(lo, lo + len(block))):
-                return None
-            ranges.append((lo, lo + len(block)))
-        return ranges
-
-    @classmethod
-    def integral_unit(cls, crossbar) -> Optional[float]:
-        """The ``unit`` of an :class:`~repro.core.sei.SEIMatrix`'s fused
-        matrix if its cells sit on the integer nibble grid, else None.
-
-        Programming variation moves cells off the grid (large residual);
-        per-read noise leaves no static fused matrix at all.  Stuck
-        cells land on nibble 0 or 15 and stay integral.
-        """
-        fused = crossbar.fused_matrix
-        if fused is None:
-            return None
-        unit = float(crossbar.scale) * float(crossbar.ir_drop_attenuation)
-        if unit <= 0 or not np.isfinite(unit):
-            return None
-        quotient = fused / unit
-        if np.abs(quotient - np.rint(quotient)).max(initial=0.0) > (
-            _INT_RESIDUAL_TOL
-        ):
-            return None
-        return unit
 
     # -- per-call kernel -------------------------------------------------------
     def pack(self, bits_u8: np.ndarray) -> PackedBits:
@@ -426,13 +386,6 @@ class PackedMatrix:
                 if active.size:
                     block_acc[active] += self.tables[g][lane[active]]
 
-    def block_sums(self, packed: PackedBits) -> np.ndarray:
-        """Analog per-block column sums, ``(n, K, cols)`` float64."""
-        acc = self.accumulate(packed)
-        return acc.transpose(1, 0, 2).astype(np.float64) * (
-            self.units[None, :, None]
-        )
-
     def compute(self, bits_u8: np.ndarray) -> np.ndarray:
         """Unsplit column outputs ``(n, cols)`` (single-block sum)."""
         packed = self.pack(bits_u8)
@@ -473,7 +426,7 @@ def _decision_tables(
     return tables
 
 
-# -- layer computes ------------------------------------------------------------
+# -- layer kernels ---------------------------------------------------------------
 
 
 def _as_uint8_bits(x: np.ndarray, what: str) -> np.ndarray:
@@ -535,83 +488,30 @@ def _apply_packed(
     raise ShapeError(f"cannot apply a packed compute to {type(layer).__name__}")
 
 
-def _record_packed(
-    obs_index: Optional[int],
-    ones_total: np.ndarray,
-    rows: int,
-    cols: int,
-    *,
-    blocks: int = 1,
-    cells_per_weight: int,
-    sa_events: Optional[int] = None,
-    digital_merge: Optional[bool] = None,
-    popcount_events: int = 0,
-    pricer: Optional[SkipModel] = None,
-    bits: Optional[np.ndarray] = None,
-) -> None:
-    """Per-layer activity counters from popcounted active-row totals.
+def _packed_merge(plan: LayerPlan):
+    """Analog-merge layer (an unsplit layer is a one-block merge).
 
-    A layer's ``pricer`` turns its input ``bits`` into the modelled
-    skip counters — the same ones the fused engine records.
+    Block accumulators scale by their units and sum in float64.  A
+    hidden layer's output feeds straight into the enclosing binarization
+    (which writes a fresh plane), so it lives in scratch and is
+    rewritten on the next batch; a final layer's escapes to the caller
+    and allocates fresh.
     """
-    rec = obs.active()
-    if rec is None or obs_index is None:
-        return
-    from repro.obs.power import record_mvm_batch
-
-    skip = pricer.price(bits)[1] if pricer is not None else None
-    if skip is not None:
-        sa_events = skip.sa_events
-
-    record_mvm_batch(
-        rec.metrics,
-        obs_index,
-        None,
-        cols,
-        rows=rows,
-        active_counts=ones_total,
-        blocks=blocks,
-        cells_per_weight=cells_per_weight,
-        sa_events=sa_events,
-        digital_merge=digital_merge,
-        popcount_events=popcount_events,
-        skipped_rows=skip.skipped_rows if skip else 0,
-        skipped_slots=skip.skipped_slots if skip else 0,
-        est_positions=skip.est_positions if skip else 0,
-        est_decided=skip.est_decided if skip else 0,
-    )
-
-
-def packed_unsplit_compute(
-    crossbar,
-    unit: float,
-    obs_index: Optional[int] = None,
-    hidden: bool = True,
-    pricer: Optional[SkipModel] = None,
-):
-    """Packed replacement for an unsplit SEI layer.
-
-    Hidden-layer outputs feed straight into the enclosing binarization
-    (which writes a fresh plane), so the float output lives in scratch
-    and is rewritten on the next batch; a final (non-thresholded) layer
-    escapes to the caller and allocates fresh.  An exact-mode ``pricer``
-    (:class:`repro.core.estimate.SkipModel`) adds the modelled skip
-    counters to the recorded activity.
-    """
+    if plan.units is None or plan.threshold_mode:
+        return FUSED_KERNELS["merge"](plan)
     matrix = PackedMatrix(
-        [crossbar.fused_matrix], [unit], [np.arange(crossbar.logical_rows)],
-        crossbar.logical_rows,
+        [crossbar.fused_matrix for crossbar in plan.crossbars],
+        plan.units, plan.blocks, plan.rows,
     )
-    cells = crossbar.cells_per_weight
+    hidden = plan.threshold is not None
     scratch = _Scratch()
 
     def matrix_fn(bits_u8: np.ndarray) -> np.ndarray:
         packed = matrix.pack(bits_u8)
         ones = matrix.ones_per_block(packed)
-        _record_packed(
-            obs_index, ones.sum(axis=1), matrix.rows, matrix.cols,
-            cells_per_weight=cells, popcount_events=packed.codes.size,
-            pricer=pricer, bits=bits_u8,
+        plan.record(
+            bits_u8, counts=ones.sum(axis=1),
+            popcount_events=packed.codes.size,
         )
         acc = matrix.accumulate(packed)
         if hidden:
@@ -619,58 +519,49 @@ def packed_unsplit_compute(
         else:
             out = np.empty(acc[0].shape)
         np.multiply(acc[0], matrix.units[0], out=out, casting="unsafe")
-        crossbar.array.note_reads(bits_u8.shape[0])
+        for k in range(1, matrix.num_blocks):
+            out += acc[k] * matrix.units[k]
+        plan.note_reads(bits_u8.shape[0])
         return out
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
         bits = _as_uint8_bits(x, "SEI inputs")
         return _apply_packed(layer, bits, matrix_fn, scratch=scratch)
 
-    return compute
+    return compute, False
 
 
-def packed_split_compute(
-    split, units: Sequence[float], obs_index=None,
-    threshold: Optional[float] = None,
-    pricer: Optional[SkipModel] = None,
-):
-    """Packed replacement for a hidden split layer (§4.3 digital vote).
+def _packed_split(plan: LayerPlan):
+    """Hidden split layer (§4.3 digital vote) in the integer domain.
 
-    The per-block firing decision runs entirely in the integer domain:
     int16 accumulators against precomputed per-ones threshold tables,
     then a uint8 vote count — no float64 block sums ever materialise.
 
     The split output is already the 0/1 vote plane, so when the layer's
-    own quantization ``threshold`` lies in ``[0, 1)`` the outer binarize
-    is an identity on it (``0 > t`` is False, ``1 > t`` is True) and the
-    compute emits uint8 selection bits directly; the enclosing network
-    must then skip its binarize pass (see ``compute.prebinarized``).
-
-    An exact-mode ``pricer`` (:class:`repro.core.estimate.SkipModel`)
-    adds the modelled skip counters to the recorded activity.
+    own quantization threshold lies in ``[0, 1)`` the outer binarize is
+    an identity on it (``0 > t`` is False, ``1 > t`` is True) and the
+    compute emits uint8 selection bits directly (the layer is then
+    prebinarized).
     """
+    if plan.units is None or plan.threshold_mode:
+        return FUSED_KERNELS["split"](plan)
     matrix = PackedMatrix(
-        [xbar.fused_matrix for xbar in split._block_crossbars],
-        units,
-        [np.asarray(block, dtype=np.intp) for block in split.blocks],
-        split.weights.shape[0],
+        [crossbar.fused_matrix for crossbar in plan.crossbars],
+        plan.units, plan.blocks, plan.rows,
     )
-    decision = split.decision
-    fire_tables = _decision_tables(matrix, decision, split.block_bias)
+    decision = plan.split.decision
+    fire_tables = _decision_tables(matrix, decision, plan.bias)
     vote_threshold = decision.vote_threshold
-    cells = split._block_crossbars[0].cells_per_weight
-    emit_bits = threshold is not None and 0.0 <= float(threshold) < 1.0
+    emit_bits = plan.threshold is not None and 0.0 <= plan.threshold < 1.0
     out_dtype = np.uint8 if emit_bits else np.float64
     scratch = _Scratch()
 
     def matrix_fn(bits_u8: np.ndarray) -> np.ndarray:
         packed = matrix.pack(bits_u8)
         ones = matrix.ones_per_block(packed)
-        _record_packed(
-            obs_index, ones.sum(axis=1), matrix.rows, matrix.cols,
-            blocks=matrix.num_blocks, cells_per_weight=cells,
+        plan.record(
+            bits_u8, counts=ones.sum(axis=1),
             popcount_events=packed.codes.size,
-            pricer=pricer, bits=bits_u8,
         )
         n = bits_u8.shape[0]
         out = scratch.get("out", (n, matrix.cols), out_dtype)
@@ -698,8 +589,7 @@ def packed_split_compute(
                 counts[:m], vote_threshold, out=out[start:stop],
                 casting="unsafe",
             )
-        for xbar in split._block_crossbars:
-            xbar.array.note_reads(n)
+        plan.note_reads(n)
         return out
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -708,59 +598,11 @@ def packed_split_compute(
             layer, bits, matrix_fn, add_bias=False, scratch=scratch
         )
 
-    compute.prebinarized = emit_bits
-    return compute
+    return compute, emit_bits
 
 
-def packed_analog_merge_compute(
-    partition, crossbars, units: Sequence[float], obs_index=None
-):
-    """Packed replacement for the final analog-merged classifier layer."""
-    matrix = PackedMatrix(
-        [xbar.fused_matrix for xbar in crossbars],
-        units,
-        [np.asarray(block, dtype=np.intp) for block in partition.blocks()],
-        partition.num_rows,
-    )
-    cells = crossbars[0].cells_per_weight
-
-    def matrix_fn(bits_u8: np.ndarray) -> np.ndarray:
-        packed = matrix.pack(bits_u8)
-        ones = matrix.ones_per_block(packed)
-        _record_packed(
-            obs_index, ones.sum(axis=1), matrix.rows, matrix.cols,
-            blocks=matrix.num_blocks, cells_per_weight=cells,
-            sa_events=packed.positions * matrix.cols, digital_merge=False,
-            popcount_events=packed.codes.size,
-        )
-        acc = matrix.accumulate(packed)
-        out = acc[0].astype(np.float64)
-        out *= matrix.units[0]
-        for k in range(1, matrix.num_blocks):
-            out += acc[k] * matrix.units[k]
-        for xbar in crossbars:
-            xbar.array.note_reads(bits_u8.shape[0])
-        return out
-
-    def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
-        bits = _as_uint8_bits(x, "analog-merge inputs")
-        return _apply_packed(layer, bits, matrix_fn)
-
-    return compute
-
-
-def packed_dac_compute(
-    merged,
-    dac,
-    cells_per_weight,
-    obs_index=None,
-    hidden: bool = True,
-    unit: Optional[float] = None,
-    bias: Optional[np.ndarray] = None,
-    threshold: Optional[float] = None,
-    array=None,
-):
-    """Integer-level re-lowering of the DAC-driven input layer (§3.2).
+def _packed_dac(plan: LayerPlan):
+    """Integer-level lowering of the DAC-driven input layer (§3.2).
 
     The fused path quantizes the feature map to analog levels
     ``k/steps`` in float64 and matmuls them against the merged analog
@@ -770,106 +612,88 @@ def packed_dac_compute(
     needed — the same merged matrix drives both paths — so this
     lowering applies in every noise regime.
 
-    When ``unit`` is given and ``merged == unit * N`` for integer
-    ``N`` (no programming variation), the matmul additionally drops to
-    float32: DAC codes and ``N`` are integers, and as long as every
-    partial sum stays below 2**24 each float32 operation is exact
+    When the plan has an integral unit (``merged == unit * N`` for
+    integer ``N``: no programming variation), the matmul additionally
+    drops to float32: DAC codes and ``N`` are integers, and as long as
+    every partial sum stays below 2**24 each float32 operation is exact
     integer arithmetic — half the memory traffic and double the BLAS
-    throughput with zero rounding inside the sum.  The ``bias`` (the
-    layer bias, when supplied) is added chunkwise while the output
-    slice is cache-hot.
+    throughput with zero rounding inside the sum.  The layer bias is
+    added chunkwise while the output slice is cache-hot.
 
-    With a ``threshold`` on top of the exact-integer path, the layer's
-    1-bit quantization (Equ. 4) folds into the kernel too: the strict
-    comparison ``unit/steps * M + bias_c > T`` is pre-solved for the
-    minimal firing integer per column, and the compute emits the uint8
-    selection plane directly — the column currents never materialise
-    in float64 at all.  The enclosing network must then skip its own
-    binarize pass (see ``compute.prebinarized``).
+    On a hidden layer, the exact-integer path also folds the layer's
+    1-bit quantization (Equ. 4) into the kernel: the strict comparison
+    ``unit/steps * M + bias_c > T`` is pre-solved for the minimal firing
+    integer per column, and the compute emits the uint8 selection plane
+    directly — the column currents never materialise in float64 at all
+    (the layer is then prebinarized).
     """
-    steps = float(2**dac.bits - 1)
+    merged = plan.matrices()
+    steps = float(2**plan.crossbars[0].dac.bits - 1)
     code_dtype = np.uint8 if steps <= np.iinfo(np.uint8).max else np.uint16
     merged_per_code = merged / steps
     cols = merged.shape[1]
+    bias = plan.bias
+    hidden = plan.threshold is not None
     scratch = _Scratch()
 
     int_matrix = None
     out_scale = None
     fire_min = None
-    if unit is not None and unit > 0 and np.isfinite(unit):
-        quotient = merged / unit
-        n_rounded = np.rint(quotient)
-        residual = np.abs(quotient - n_rounded).max(initial=0.0)
+    if plan.units is not None:
+        unit = plan.units[0]
+        n_rounded = np.rint(merged / unit)
         worst_sum = steps * np.abs(n_rounded).sum(axis=0).max(initial=0.0)
-        if residual <= _INT_RESIDUAL_TOL and worst_sum < 2.0**24:
+        if worst_sum < 2.0**24:
             int_matrix = np.ascontiguousarray(n_rounded, dtype=np.float32)
             out_scale = unit / steps
-            if threshold is not None:
+            if hidden:
                 # Strict inequality, as in _decision_tables: the minimal
                 # firing integer is floor(q) + 1 whether q is fractional
                 # or exactly integral.
-                bias_vec = (
-                    np.zeros(cols)
-                    if bias is None
-                    else np.asarray(bias, dtype=np.float64)
-                )
-                q = (float(threshold) - bias_vec) * steps / unit
+                bias_vec = np.asarray(bias, dtype=np.float64)
+                q = (float(plan.threshold) - bias_vec) * steps / unit
                 fire_min = np.clip(
                     np.floor(q) + 1.0, -(worst_sum + 1), worst_sum + 1
                 ).astype(np.float32)
 
-    def matrix_fn(codes: np.ndarray) -> np.ndarray:
-        from repro.core.hardware_network import _record_dac
+    # Matmul operands: exact float32 integers on the integral path, the
+    # float64 analog level per code otherwise.
+    weights = merged_per_code if int_matrix is None else int_matrix
+    wide = np.float64 if int_matrix is None else np.float32
 
-        _record_dac(obs_index, codes, cols, cells_per_weight)
+    def matrix_fn(codes: np.ndarray) -> np.ndarray:
+        plan.record(codes)
         n = codes.shape[0]
-        if array is not None:
-            array.note_reads(n)
+        plan.note_reads(n)
         chunk = min(_DAC_CHUNK, n)
-        if int_matrix is not None:
-            buf = scratch.get("widen32", (chunk, codes.shape[1]), np.float32)
-            acc = scratch.get("acc32", (chunk, cols), np.float32)
-            if fire_min is not None:
-                # Exact integers on both sides of the comparison: the
-                # uint8 selection plane comes straight off the f32
-                # accumulator, chunkwise while it is cache-hot.
-                bits = scratch.get("bits", (n, cols), np.uint8)
-                for start in range(0, n, _DAC_CHUNK):
-                    stop = min(n, start + _DAC_CHUNK)
-                    m = stop - start
-                    np.copyto(buf[:m], codes[start:stop], casting="unsafe")
-                    np.matmul(buf[:m], int_matrix, out=acc[:m])
-                    np.greater_equal(
-                        acc[:m], fire_min, out=bits[start:stop],
-                        casting="unsafe",
-                    )
-                return bits
-            if hidden:
-                out = scratch.get("out", (n, cols), np.float64)
-            else:
-                out = np.empty((n, cols))
-            for start in range(0, n, _DAC_CHUNK):
-                stop = min(n, start + _DAC_CHUNK)
-                m = stop - start
-                np.copyto(buf[:m], codes[start:stop], casting="unsafe")
-                np.matmul(buf[:m], int_matrix, out=acc[:m])
-                np.multiply(acc[:m], out_scale, out=out[start:stop])
-                if bias is not None:
-                    out[start:stop] += bias
-            return out
-        if hidden:
+        buf = scratch.get("widen", (chunk, codes.shape[1]), wide)
+        acc = scratch.get("acc", (chunk, cols), wide)
+        if fire_min is not None:
+            out = scratch.get("bits", (n, cols), np.uint8)
+        elif hidden:
             out = scratch.get("out", (n, cols), np.float64)
         else:
             # Final-layer outputs escape to the caller: allocate fresh.
             out = np.empty((n, cols))
-        buf = scratch.get("widen", (chunk, codes.shape[1]), np.float64)
         for start in range(0, n, _DAC_CHUNK):
             stop = min(n, start + _DAC_CHUNK)
-            piece = buf[: stop - start]
-            np.copyto(piece, codes[start:stop], casting="unsafe")
-            np.matmul(piece, merged_per_code, out=out[start:stop])
-            if bias is not None:
-                out[start:stop] += bias
+            m = stop - start
+            np.copyto(buf[:m], codes[start:stop], casting="unsafe")
+            if int_matrix is None:
+                np.matmul(buf[:m], weights, out=out[start:stop])
+            else:
+                np.matmul(buf[:m], weights, out=acc[:m])
+                if fire_min is not None:
+                    # Exact integers on both sides of the comparison:
+                    # the uint8 selection plane comes straight off the
+                    # f32 accumulator, chunkwise while it is cache-hot.
+                    np.greater_equal(
+                        acc[:m], fire_min, out=out[start:stop],
+                        casting="unsafe",
+                    )
+                    continue
+                np.multiply(acc[:m], out_scale, out=out[start:stop])
+            out[start:stop] += bias
         return out
 
     def compute(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -877,13 +701,19 @@ def packed_dac_compute(
         # exact, as in the fused path: zero maps to code 0 either way).
         codes = np.rint(np.clip(x, 0.0, 1.0) * steps).astype(code_dtype)
         return _apply_packed(
-            layer, codes, matrix_fn,
-            add_bias=bias is None and fire_min is None,
-            scratch=scratch,
+            layer, codes, matrix_fn, add_bias=False, scratch=scratch
         )
 
-    compute.prebinarized = fire_min is not None
-    return compute
+    return compute, fire_min is not None
+
+
+#: The packed engine: integer kernels wherever the plan has integral
+#: units, the fused kernel on every other layer (and in threshold mode).
+PACKED_KERNELS = {
+    "dac": _packed_dac,
+    "merge": _packed_merge,
+    "split": _packed_split,
+}
 
 
 def packed_pool_compute(trusted: bool = False):
@@ -929,22 +759,15 @@ def assemble_packed_network(
 ) -> BinarizedNetwork:
     """Build a BinarizedNetwork on the packed popcount engine.
 
-    The fused network is assembled first with the *same* RNG stream
-    (identical programmed cells, identical per-read noise draws), then
-    every crossbar whose cells sit on the integer nibble grid is
-    re-pointed at the packed integer kernel.  Non-integral crossbars
-    (programming variation) and per-read-noise crossbars keep the fused
-    float path, so the engine is exact in every noise regime and fast
-    exactly where the packed formulation applies.
-
-    The estimator rides on the fused assembly: its skip models price the
-    packed kernels too, and threshold-mode layers, whose output the
-    model computes, keep the fused compute.
+    The layers are planned exactly as for the fused engine (same RNG
+    stream, same programmed cells, same per-read noise draws); each plan
+    with integral units runs the packed integer kernel and every other
+    plan the fused kernel, so the engine is exact in every noise regime
+    and fast exactly where the packed formulation applies.
     """
     # Local import: repro.core.engines registers this module's builder,
     # so the top-level dependency can only point one way.
-    from repro.core.engines import EngineSpec, resolve_engine
-    from repro.core.hardware_network import assemble_sei_network
+    from repro.core.engines import resolve_engine
 
     spec = resolve_engine(
         engine,
@@ -959,70 +782,16 @@ def assemble_packed_network(
             "from the cells at assemble time; temporal aging requires "
             "the fused or reference engine"
         )
-    inner = EngineSpec(
-        name="fused",
-        hardware=spec.hardware,
-        data_bits=spec.data_bits,
-        estimator=spec.estimator,
-    )
-    binarized = assemble_sei_network(
+    binarized = assemble_plans(
         network,
         thresholds,
+        spec,
+        PACKED_KERNELS,
         decisions=decisions,
         partitions=partitions,
         rng=rng,
-        engine=inner,
     )
-
-    for index, info in binarized.hardware_layers.items():
-        kind = info.get("kind")
-        pricer = info.get("pricer")
-        if pricer is not None and not pricer.exact:
-            continue
-        if kind == "dac":
-            fused_compute = info["compute"]
-            binarized.layer_computes[index] = packed_dac_compute(
-                fused_compute.merged,
-                fused_compute.dac,
-                fused_compute.cells_per_weight,
-                obs_index=index,
-                hidden=index in thresholds,
-                unit=getattr(fused_compute, "unit", None),
-                bias=layer_bias(network.layers[index]),
-                threshold=thresholds.get(index),
-                array=getattr(fused_compute, "array", None),
-            )
-        elif kind == "unsplit":
-            crossbar = info["crossbar"]
-            unit = PackedMatrix.integral_unit(crossbar)
-            if unit is not None:
-                binarized.layer_computes[index] = packed_unsplit_compute(
-                    crossbar, unit, obs_index=index,
-                    hidden=index in thresholds,
-                    pricer=pricer,
-                )
-        elif kind == "split":
-            split = info["matrix"]
-            units = [
-                PackedMatrix.integral_unit(xbar)
-                for xbar in split._block_crossbars
-            ]
-            if all(unit is not None for unit in units):
-                binarized.layer_computes[index] = packed_split_compute(
-                    split, units, obs_index=index,
-                    threshold=thresholds.get(index),
-                    pricer=pricer,
-                )
-        elif kind == "analog_merge":
-            crossbars = info["crossbars"]
-            units = [PackedMatrix.integral_unit(xbar) for xbar in crossbars]
-            if all(unit is not None for unit in units):
-                binarized.layer_computes[index] = (
-                    packed_analog_merge_compute(
-                        info["partition"], crossbars, units, obs_index=index
-                    )
-                )
-
+    skip_binary_relus(binarized)
     # Pooling on 0/1 maps is the §3.1 logical OR: run it on uint8.  A
     # pool is "trusted" (no 0/1 validation scan) when the most recent
     # weighted layer upstream is thresholded — binarize() then wrote
@@ -1035,16 +804,6 @@ def assemble_packed_network(
             )
         elif isinstance(layer, (Conv2D, Dense)):
             binary = index in thresholds
-
-    # Computes that folded the threshold comparison into their kernel
-    # emit the exact selection bits themselves; tell the network to skip
-    # the (now identity) outer binarize pass for those layers.
-    binarized.prebinarized = frozenset(
-        index
-        for index, compute in binarized.layer_computes.items()
-        if getattr(compute, "prebinarized", False)
-    )
-
     return binarized
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import ceil
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from repro.core.matrix_compute import (
 
 __all__ = [
     "required_blocks",
+    "contiguous_spans",
     "SplitDecision",
     "SplitMatrix",
     "split_layer_compute",
@@ -71,6 +72,27 @@ def required_blocks(
     if logical_rows <= 0 or max_crossbar_size <= 0 or cells_per_weight <= 0:
         raise ConfigurationError("all sizes must be positive")
     return max(1, ceil(logical_rows * cells_per_weight / max_crossbar_size))
+
+
+def contiguous_spans(
+    blocks: Sequence[np.ndarray],
+) -> Optional[List[Tuple[int, int]]]:
+    """Each block's ``(start, stop)`` row range, or None if any block is
+    empty or not a contiguous ascending run (a scattered partition).
+
+    Kernels over contiguous blocks slice their input instead of
+    gathering it.
+    """
+    spans: List[Tuple[int, int]] = []
+    for block in blocks:
+        block = np.asarray(block)
+        if block.size == 0:
+            return None
+        start = int(block[0])
+        if not np.array_equal(block, np.arange(start, start + block.size)):
+            return None
+        spans.append((start, start + block.size))
+    return spans
 
 
 @dataclass(frozen=True)
@@ -220,8 +242,14 @@ class SplitMatrix:
             )
         sums = np.empty((bits.shape[0], self.num_blocks, self.cols))
         for k, block in enumerate(self.blocks):
-            sums[:, k, :] = bits[:, block] @ self.weights[block] + self.block_bias
+            sums[:, k, :] = (
+                self._block_reference(k, bits[:, block]) + self.block_bias
+            )
         return sums
+
+    def _block_reference(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Block ``k``'s partial sums for its own input rows."""
+        return rows @ self.weights[self.blocks[k]]
 
     def ones_per_block(self, bits: np.ndarray) -> np.ndarray:
         """Active-input counts per block: shape ``(n, K)``."""

@@ -224,6 +224,8 @@ class InferenceSession:
         images = np.asarray(images)
         tile = self.config.tile
         n = len(images)
+        if n == 0:
+            return np.empty((0, self.num_classes))
         outputs = []
         for start in range(0, n, tile):
             chunk = images[start : start + tile]

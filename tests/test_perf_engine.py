@@ -134,20 +134,6 @@ class TestSplitEquivalence:
             **TIGHT,
         )
 
-    def test_reference_engine_flag_dispatches(self, rng):
-        device = RRAMDevice(bits=4)
-        weights = np.random.default_rng(17).normal(size=(120, 10))
-        partition = natural_partition(120, 3)
-        decision = SplitDecision(block_threshold=0.05, vote_threshold=2)
-        split = HardwareSplitMatrix(
-            weights, partition, decision, HardwareConfig(device=device),
-            rng=np.random.default_rng(0), engine="reference",
-        )
-        bits = _random_bits(rng, 8, 120)
-        np.testing.assert_allclose(
-            split.block_sums(bits), split.block_sums_reference(bits), **TIGHT
-        )
-
 
 class TestHardwareNetworkEngines:
     @pytest.mark.parametrize(

@@ -133,16 +133,18 @@ def test_vote_monotone_in_threshold(derived_rng, seed, rows, blocks):
 )
 def test_dynamic_threshold_equivalence(derived_rng, seed, rows, threshold):
     """Property: Equ. 9 == Equ. 4 — the unipolar structure makes the
-    same decisions as direct signed thresholding, bar quantization on
-    marginal cases."""
+    same decisions as direct signed thresholding of the weights it
+    stores, ``k * (stored_q - w0)`` (Equ. 7 on the quantized cells)."""
     weights = _matrix(derived_rng, seed, rows, 4, scale=0.1)
     matrix = DynamicThresholdMatrix(
         weights, threshold=threshold, max_crossbar_size=1 << 16
     )
     bits = _bits(derived_rng, seed, 60, rows, 0.3)
     hw = matrix.fire(bits)
-    sw = binarize(bits @ weights, threshold)
-    assert (hw == sw).mean() > 0.95
+    stored_q = matrix.stored_sum(np.eye(rows))
+    recovered = matrix.transform.k * (stored_q - matrix._w0_cell)
+    sw = binarize(bits @ recovered, threshold)
+    np.testing.assert_array_equal(hw, sw)
 
 
 @settings(max_examples=25, deadline=None)
